@@ -44,7 +44,7 @@ from .problem import (
     sample_fields,
     sample_noise,
 )
-from .supermesh import build_supermesh, build_three_way_supermesh, write_supermesh_csv
+from .supermesh import write_supermesh_csv
 
 MAX_QMC_DOUBLINGS = 24
 
@@ -341,11 +341,7 @@ def _dump_static(cfg: RunConfig, ctxs, out: Path, args) -> None:
             write_mesh(ctx.g_mesh, out / f"mesh_g_l{ctx.position}.txt")
             write_mesh(ctx.d_mesh, out / f"mesh_d_l{ctx.position}.txt")
         if args.dump_supermesh:
-            if ctx.coupled:
-                sm = build_three_way_supermesh(ctx.d_mesh, ctx.d_coarse, ctx.haar)
-            else:
-                sm = build_supermesh(ctx.d_mesh, ctx.haar)
-            write_supermesh_csv(sm, out / f"supermesh_l{ctx.position}.csv")
+            write_supermesh_csv(ctx.supermesh, out / f"supermesh_l{ctx.position}.csv")
 
 
 def _dump_noise(cfg: RunConfig, ctxs, out: Path, n: int) -> None:

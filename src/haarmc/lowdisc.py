@@ -90,7 +90,7 @@ class SobolGenerator:
                 f"is {self.MAX_DIM})"
             )
         self.dim = dim
-        self._v = _directions()[:, :dim].copy()
+        self._v = _directions(dim).copy()
 
     def integers(self, n) -> np.ndarray:
         """32-bit integer lattice points for sample index array n."""
@@ -106,9 +106,20 @@ class SobolGenerator:
         return x
 
 
-@functools.lru_cache(maxsize=1)
-def _directions():
-    return _load_direction_numbers(SobolGenerator.MAX_DIM)
+_direction_table = np.zeros((_BITS, 0), dtype=np.uint64)
+
+
+def _directions(dim: int) -> np.ndarray:
+    """Direction integers of the first `dim` dimensions, (_BITS, dim).
+
+    One table is cached: the file is parsed only up to the largest
+    dimension asked for so far, and again when a wider one is asked for.
+    """
+    global _direction_table
+    table = _direction_table
+    if table.shape[1] < dim:
+        table = _direction_table = _load_direction_numbers(dim)
+    return table[:, :dim]
 
 
 def sobol_point(gen: SobolGenerator, n: int) -> np.ndarray:

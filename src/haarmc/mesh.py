@@ -259,45 +259,68 @@ def haar_cell_midpoint(haar: HaarMesh, k) -> np.ndarray:
     return haar.box.from_unit(unit)
 
 
+def _match_rows(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Index of a row of `table` equal to each row of `keys`, -1 where none.
+
+    One lexsort over both arrays puts equal rows next to each other, table
+    rows first; the last table row of each run of equal rows is its match.
+    """
+    rows = np.concatenate([table, keys])
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new_run = np.ones(len(rows), dtype=bool)
+    new_run[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    run = np.cumsum(new_run) - 1
+    from_table = order < len(table)
+    last = from_table.copy()
+    last[:-1] &= ~(from_table[1:] & ~new_run[1:])
+    match = np.full(len(rows), -1, dtype=np.int64)
+    match[run[last]] = order[last]
+    out = np.empty(len(rows), dtype=np.int64)
+    out[order] = match[run]
+    return out[len(table) :]
+
+
 def vertex_injection_map(
     sub: SimplicialMesh, sup: SimplicialMesh, tol: float = _COORD_TOL
 ) -> np.ndarray:
     """Index map m with sup.vertices[m[i]] == sub.vertices[i] up to tol.
 
-    Raises ValueError if some vertex of `sub` has no match in `sup`.
+    Vertices match when their coordinates rounded to -log10(tol) decimals
+    agree. Raises ValueError if some vertex of `sub` has no match in `sup`.
     """
     decimals = max(0, int(-np.log10(tol)))
-    lookup = {}
-    for j, v in enumerate(np.round(sup.vertices, decimals)):
-        lookup[tuple(v)] = j
-    out = np.empty(sub.n_vertices, dtype=np.int64)
-    for i, v in enumerate(np.round(sub.vertices, decimals)):
-        key = tuple(v)
-        if key not in lookup:
-            raise ValueError(f"vertex {sub.vertices[i]} has no counterpart")
-        out[i] = lookup[key]
+    # adding 0.0 turns -0.0 into 0.0, which compares equal to it anyway
+    out = _match_rows(
+        np.round(sub.vertices, decimals) + 0.0, np.round(sup.vertices, decimals) + 0.0
+    )
+    missing = np.nonzero(out < 0)[0]
+    if missing.size:
+        raise ValueError(f"vertex {sub.vertices[missing[0]]} has no counterpart")
     return out
 
 
-def is_nested(sub: SimplicialMesh, sup: SimplicialMesh, tol: float = _COORD_TOL) -> bool:
+def is_nested(
+    sub: SimplicialMesh,
+    sup: SimplicialMesh,
+    tol: float = _COORD_TOL,
+    vmap: Optional[np.ndarray] = None,
+) -> bool:
     """True when every cell of `sub` coincides with a cell of `sup`.
 
     This is the strict notion used for the inner/outer pair of the test
     problem, where the two meshes share spacing and diagonal direction over
     the inner domain; transfer between them is then an exact injection.
+    `vmap`, the vertex_injection_map of the pair when the caller has it,
+    is not computed again.
     """
-    try:
-        vmap = vertex_injection_map(sub, sup, tol)
-    except ValueError:
-        return False
-    decimals = max(0, int(-np.log10(tol)))
-
-    def cell_key(mesh, cell):
-        pts = np.round(mesh.vertices[cell], decimals)
-        return tuple(sorted(map(tuple, pts)))
-
-    sup_cells = {cell_key(sup, c) for c in sup.cells}
-    return all(cell_key(sub, c) in sup_cells for c in sub.cells)
+    if vmap is None:
+        try:
+            vmap = vertex_injection_map(sub, sup, tol)
+        except ValueError:
+            return False
+    cells = np.sort(vmap[sub.cells], axis=1)
+    return bool(np.all(_match_rows(cells, np.sort(sup.cells, axis=1)) >= 0))
 
 
 @dataclass
@@ -315,8 +338,8 @@ class MeshHierarchy:
             self.injections = [
                 vertex_injection_map(g, d) for g, d, _ in self.levels
             ]
-        for g, d, _ in self.levels:
-            if not is_nested(g, d):
+        for (g, d, _), inj in zip(self.levels, self.injections):
+            if not is_nested(g, d, vmap=inj):
                 raise ValueError("inner mesh is not nested in the outer mesh")
         haar_levels = [h.level for _, _, h in self.levels]
         if any(b < a for a, b in zip(haar_levels, haar_levels[1:])):

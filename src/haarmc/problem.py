@@ -29,7 +29,7 @@ from .lowdisc import (
 )
 from .mesh import Box, MeshHierarchy, build_hierarchy
 from .mlqmc import LevelSampler
-from .supermesh import build_supermesh, build_three_way_supermesh
+from .supermesh import Supermesh, build_supermesh, build_three_way_supermesh
 from .whitenoise import (
     CellGeometryTables,
     HaarLayout,
@@ -67,8 +67,8 @@ def default_d_box(dim: int) -> Box:
 class LevelContext:
     """Precomputed state for one hierarchy position.
 
-    position 0 has no coarse half; every context owns its supermesh tables,
-    wavelet layout, and prefactorized Helmholtz solves.
+    position 0 has no coarse half; every context owns its supermesh and the
+    tables built from it, wavelet layout, and prefactorized Helmholtz solves.
     """
 
     position: int
@@ -77,6 +77,7 @@ class LevelContext:
     d_mesh: object
     haar: object
     layout: HaarLayout
+    supermesh: Supermesh
     tables: CellGeometryTables
     solve_fine: Callable
     inj_fine: np.ndarray  # D -> G vertex injection
@@ -129,7 +130,7 @@ def build_level_contexts(
             sm = build_supermesh(d, haar)
             tables = build_tables(d, haar, sm)
             ctx = LevelContext(
-                pos, params, g, d, haar, layout, tables, solves[pos], inj
+                pos, params, g, d, haar, layout, sm, tables, solves[pos], inj
             )
             ctx.dof_cost = float(
                 d.interior_vertices.size + g.interior_vertices.size
@@ -145,6 +146,7 @@ def build_level_contexts(
                 d,
                 haar,
                 layout,
+                sm,
                 tables,
                 solves[pos],
                 inj,

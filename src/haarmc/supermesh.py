@@ -1,6 +1,25 @@
 """Supermesh construction: common refinements of simplicial meshes and
-dyadic Haar grids, by candidate-cell index arithmetic plus iterative
-half-plane clipping."""
+dyadic Haar grids.
+
+One batched pipeline builds both the two-way (mesh x Haar grid) and the
+three-way (fine x coarse x Haar grid) supermesh, in 1D and 2D:
+
+1. candidate (fine, coarse) cell pairs by uniform binning of the coarse
+   cells' bounding boxes; in the two-way build each pair is a mesh cell;
+2. every candidate fine simplex clipped against its coarse simplex at once,
+   by Sutherland-Hodgman steps on padded (P, V, 2) polygon arrays with
+   vertex counts (the max/min of the interval ends in 1D);
+3. pairs with no area dropped, the rest repeated over their candidate Haar
+   cells and clipped against the cells' axis half-planes in one pass;
+4. fan triangulation, the sliver filter, and the flat cell arrays.
+
+Each step does, per polygon, the arithmetic of a one-polygon clip: the same
+dot products over the same strides, the same intersection formula and the
+same vertex merging. Cells come out in (fine, coarse, Haar, fan) order, so
+the cells, their order and their vertex order do not depend on the
+batching. Candidates are processed in blocks whose scratch arrays stay
+within CHUNK_FLOAT_BUDGET floats.
+"""
 
 from __future__ import annotations
 
@@ -11,10 +30,9 @@ import numpy as np
 from .mesh import HaarMesh, SimplicialMesh, cell_volumes
 
 __all__ = [
-    "SupermeshCell",
     "Supermesh",
-    "clip_simplex_to_box_cell",
-    "triangulate_polygon",
+    "clip_to_boxes",
+    "fan_triangulate",
     "build_supermesh",
     "build_three_way_supermesh",
     "write_supermesh_csv",
@@ -22,15 +40,14 @@ __all__ = [
 
 SLIVER_REL_TOL = 1e-14  # dropped when volume < this multiple of the parent volume
 VERTEX_DEDUP_TOL = 1e-12  # absolute merge tolerance for clipped polygon vertices
+BIN_EDGE_TOL = 1e-9  # relative slack of the bin index ranges of a bounding box
 
-
-@dataclass(frozen=True)
-class SupermeshCell:
-    simplex: np.ndarray  # (dim + 1, dim)
-    parent_a: int
-    parent_b: int  # -1 for two-way supermeshes
-    parent_haar: int
-    volume: float
+# scratch floats one block of candidates may use; bounds on the scratch of
+# one padded polygon vertex in a clip step (copies, crossings, distances,
+# indices) and of one raw (fine cell, bin, coarse cell) candidate entry
+CHUNK_FLOAT_BUDGET = 300_000
+_VERTEX_FLOATS = 32
+_ENTRY_FLOATS = 8
 
 
 @dataclass
@@ -48,184 +65,208 @@ class Supermesh:
     def __len__(self) -> int:
         return self.simplices.shape[0]
 
-    def cell(self, i: int) -> SupermeshCell:
-        return SupermeshCell(
-            self.simplices[i],
-            int(self.parent_a[i]),
-            int(self.parent_b[i]),
-            int(self.parent_haar[i]),
-            float(self.volumes[i]),
-        )
 
-    def __iter__(self):
-        return (self.cell(i) for i in range(len(self)))
+# ------------------------------------------------------------ polygon kernel
 
 
-def _dedup_polygon(poly: np.ndarray) -> np.ndarray:
-    """Drop consecutive vertices closer than the merge tolerance."""
-    if len(poly) == 0:
-        return poly
-    keep = []
-    for p in poly:
-        if not keep or np.max(np.abs(p - keep[-1])) > VERTEX_DEDUP_TOL:
-            keep.append(p)
-    while len(keep) > 1 and np.max(np.abs(keep[0] - keep[-1])) <= VERTEX_DEDUP_TOL:
-        keep.pop()
-    return np.asarray(keep)
+def _compact(pts: np.ndarray, ok: np.ndarray):
+    """Move each row's ok vertices to the front, in order; (pts, counts)."""
+    n = ok.sum(axis=1)
+    out = np.zeros((pts.shape[0], n.max(initial=0), pts.shape[2]))
+    rows, cols = np.nonzero(ok)
+    out[rows, np.cumsum(ok, axis=1)[rows, cols] - 1] = pts[rows, cols]
+    return out, n
 
 
-def _clip_halfplane(poly: np.ndarray, normal, offset: float) -> np.ndarray:
-    """Sutherland-Hodgman step: keep the part of a convex CCW polygon with
-    normal . x <= offset."""
-    if len(poly) == 0:
-        return poly
-    n = np.asarray(normal, dtype=float)
-    d = poly @ n - offset
-    out = []
-    k = len(poly)
-    for i in range(k):
-        j = (i + 1) % k
-        pi, pj = poly[i], poly[j]
-        di, dj = d[i], d[j]
-        if di <= 0.0:
-            out.append(pi)
-        if (di < 0.0 < dj) or (dj < 0.0 < di):
-            t = di / (di - dj)
-            out.append(pi + t * (pj - pi))
-    return _dedup_polygon(np.asarray(out)) if out else np.empty((0, 2))
+def _far(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a - b).max(axis=-1) > VERTEX_DEDUP_TOL
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def clip_simplex_to_box_cell(simplex: np.ndarray, lo, hi) -> np.ndarray:
-    """Intersect a simplex with the axis-aligned cell [lo, hi].
-
-    Returns the vertices of the intersection: an interval (2, 1) in 1D or a
-    CCW convex polygon (k, 2) in 2D; empty array when the overlap is void.
-    """
-    simplex = np.asarray(simplex, dtype=float)
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    dim = simplex.shape[1]
-    if dim == 1:
-        a = max(simplex[:, 0].min(), lo[0])
-        b = min(simplex[:, 0].max(), hi[0])
-        if b <= a:
-            return np.empty((0, 1))
-        return np.array([[a], [b]])
-    poly = simplex
-    poly = _clip_halfplane(poly, (-1.0, 0.0), -lo[0])
-    poly = _clip_halfplane(poly, (1.0, 0.0), hi[0])
-    poly = _clip_halfplane(poly, (0.0, -1.0), -lo[1])
-    poly = _clip_halfplane(poly, (0.0, 1.0), hi[1])
-    if len(poly) < 3:
-        # a shared vertex or edge: measure zero, not an intersection cell
-        return np.empty((0, 2))
-    return poly
-
-
-def _clip_to_simplex(poly: np.ndarray, simplex: np.ndarray) -> np.ndarray:
-    """Clip a convex CCW polygon by the half-planes of a CCW simplex."""
-    for i in range(3):
-        p, q = simplex[i], simplex[(i + 1) % 3]
-        e = q - p
-        # inside (left of directed edge): cross(e, x - p) >= 0
-        normal = np.array([e[1], -e[0]])
-        poly = _clip_halfplane(poly, normal, float(normal @ p))
-        if len(poly) == 0:
+def _merge_vertices(cand: np.ndarray, ok: np.ndarray):
+    """Keep each row's ok candidates, dropping every vertex within the merge
+    tolerance of the last kept one, then trailing vertices that repeat the
+    first; (pts, counts)."""
+    pts, n = _compact(cand, ok)
+    if pts.shape[1] == 0:
+        return pts, n
+    keep = np.arange(pts.shape[1]) < n[:, None]
+    last = pts[:, 0]
+    for s in range(1, pts.shape[1]):
+        keep[:, s] &= _far(pts[:, s], last)
+        last = np.where(keep[:, s, None], pts[:, s], last)
+    pts, n = _compact(pts, keep)
+    rows = np.arange(len(n))
+    while True:
+        pop = (n > 1) & ~_far(pts[:, 0], pts[rows, np.maximum(n - 1, 0)])
+        if not pop.any():
             break
-    return poly
+        n = n - pop
+    return pts[:, : n.max(initial=0)], n
 
 
-def triangulate_polygon(poly: np.ndarray) -> np.ndarray:
-    """Fan triangulation of a convex CCW polygon, shape (k - 2, 3, 2)."""
-    k = len(poly)
-    if k < 3:
-        return np.empty((0, 3, 2))
-    tris = [(poly[0], poly[i], poly[i + 1]) for i in range(1, k - 1)]
-    return np.asarray(tris)
+def _halfplane_step(pts: np.ndarray, n: np.ndarray, d: np.ndarray):
+    """Sutherland-Hodgman step on a batch of convex CCW polygons: keep the
+    part of each where d <= 0, d holding the vertices' signed distances."""
+    P, W, dim = pts.shape
+    i = np.arange(W)
+    valid = i < n[:, None]
+    j = np.where(i + 1 < n[:, None], i + 1, 0)
+    pj = np.take_along_axis(pts, j[:, :, None], axis=1)
+    dj = np.take_along_axis(d, j, axis=1)
+    inside = valid & (d <= 0.0)
+    cross = valid & (((d < 0.0) & (0.0 < dj)) | ((dj < 0.0) & (0.0 < d)))
+    t = np.divide(d, d - dj, out=np.zeros_like(d), where=cross)
+    hit = pts + t[:, :, None] * (pj - pts)
+    cand = np.stack([pts, hit], axis=2).reshape(P, 2 * W, dim)
+    ok = np.stack([inside, cross], axis=2).reshape(P, 2 * W)
+    return _merge_vertices(cand, ok)
 
 
-def _haar_candidate_range(haar: HaarMesh, lo, hi):
-    """Per-axis index ranges of Haar cells whose closure can meet [lo, hi]."""
-    n = haar.cells_per_axis
-    ranges = []
-    for a in range(haar.dim):
-        side = (haar.box.hi[a] - haar.box.lo[a]) / n
-        i0 = int(np.floor((lo[a] - haar.box.lo[a]) / side - 1e-9))
-        i1 = int(np.floor((hi[a] - haar.box.lo[a]) / side + 1e-9))
-        ranges.append(range(max(0, i0), min(n - 1, i1) + 1))
-    return ranges
+def _matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a @ b for stacks a (P, k, m), b (P, m): the BLAS product a
+    single polygon would use, so results agree to the last bit."""
+    return np.matmul(a, b[:, :, None])[:, :, 0]
 
 
-def _haar_flat(haar: HaarMesh, idx) -> int:
-    n = haar.cells_per_axis
-    flat = idx[0]
-    for a in range(1, haar.dim):
-        flat = flat * n + idx[a]
+def _areas(pts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Shoelace areas of a batch of 2D polygons (0 below 3 vertices).
+
+    Rows are grouped by vertex count so each dot product runs over exactly
+    the polygon's vertices, with x read at the stride of a (k, 2) array.
+    """
+    out = np.zeros(len(n))
+    for k in np.unique(n[n >= 3]):
+        rows = np.nonzero(n == k)[0]
+        poly = pts[rows, :k]
+        x, y = poly[:, :, 0], poly[:, :, 1]
+        xy = _matvec(x[:, None, :], np.roll(y, -1, axis=1))[:, 0]
+        yx = _matvec(y[:, None, :], np.roll(x, -1, axis=1))[:, 0]
+        out[rows] = 0.5 * (xy - yx)
+    return out
+
+
+def _bounds(pts: np.ndarray, n: np.ndarray):
+    """Per-row bounding box of the first n vertices."""
+    valid = (np.arange(pts.shape[1]) < n[:, None])[:, :, None]
+    return (
+        np.where(valid, pts, np.inf).min(axis=1),
+        np.where(valid, pts, -np.inf).max(axis=1),
+    )
+
+
+def clip_to_boxes(pts: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Intersect each polygon of a batch with its axis-aligned box [lo, hi].
+
+    pts (P, V, dim) holds the first n[p] vertices of polygon p (CCW in 2D,
+    an interval's two ends in 1D); lo, hi are (P, dim). Returns (pts, n) in
+    the same layout. An overlap of measure zero (a shared vertex or edge)
+    comes back with no vertices.
+    """
+    if pts.shape[2] == 1:
+        a, b = _bounds(pts, n)
+        a = np.where(lo > a, lo, a)  # max(a, lo), ties to a
+        b = np.where(hi < b, hi, b)
+        return np.stack([a, b], axis=1), np.where(b[:, 0] > a[:, 0], 2, 0)
+    for axis in range(2):
+        # lo - x rounds exactly as (-x) - (-lo), the distance to -x <= -lo
+        pts, n = _halfplane_step(pts, n, lo[:, axis, None] - pts[:, :, axis])
+        pts, n = _halfplane_step(pts, n, pts[:, :, axis] - hi[:, axis, None])
+    return pts, np.where(n >= 3, n, 0)
+
+
+def _ragged(counts: np.ndarray):
+    """(row, k) for items k = 0..counts[row]-1 of each row, in row order."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    return row, np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def fan_triangulate(pts: np.ndarray, n: np.ndarray):
+    """Fan triangulation from vertex 0 of a batch of convex CCW polygons.
+
+    Returns (owner, tris): tris (T, 3, 2) in polygon order, then fan order,
+    and owner[t] the polygon of triangle t.
+    """
+    owner, k = _ragged(np.maximum(n - 2, 0))
+    if owner.size == 0:
+        return owner, np.empty((0, 3, 2))
+    return owner, np.stack([pts[owner, 0], pts[owner, k + 1], pts[owner, k + 2]], axis=1)
+
+
+# ------------------------------------------------------------- index grids
+
+
+def _bin_ranges(lo, hi, origin, side, n_bins):
+    """Per-axis index ranges [i0, i1] of the uniform bins a box [lo, hi] can
+    meet, widened by BIN_EDGE_TOL of a bin and clamped to the grid."""
+    i0 = np.floor((lo - origin) / side - BIN_EDGE_TOL).astype(np.int64)
+    i1 = np.floor((hi - origin) / side + BIN_EDGE_TOL).astype(np.int64)
+    return np.maximum(i0, 0), np.minimum(i1, n_bins - 1)
+
+
+def _expand(i0: np.ndarray, i1: np.ndarray):
+    """Every index tuple of each row's ranges [i0, i1] (m, dim), last axis
+    fastest, with the row it came from."""
+    count = np.maximum(i1 - i0 + 1, 0)
+    row, k = _ragged(count.prod(axis=1))
+    idx = np.empty((row.size, i0.shape[1]), dtype=np.int64)
+    for a in range(i0.shape[1] - 1, -1, -1):
+        c = count[row, a]
+        idx[:, a] = i0[row, a] + k % c
+        k //= c
+    return row, idx
+
+
+def _flat(idx: np.ndarray, n: int) -> np.ndarray:
+    """C-order flat index over a grid with n cells per axis."""
+    flat = idx[:, 0]
+    for a in range(1, idx.shape[1]):
+        flat = flat * n + idx[:, a]
     return flat
 
 
-def _haar_bounds(haar: HaarMesh, idx):
-    n = haar.cells_per_axis
-    lo = [haar.box.lo[a] + idx[a] * (haar.box.hi[a] - haar.box.lo[a]) / n for a in range(haar.dim)]
-    hi = [haar.box.lo[a] + (idx[a] + 1) * (haar.box.hi[a] - haar.box.lo[a]) / n for a in range(haar.dim)]
-    return np.asarray(lo), np.asarray(hi)
+def _blocks(cost: np.ndarray, budget: float):
+    """Consecutive (start, stop) item ranges with summed cost within budget;
+    an item dearer than the budget gets a range of its own."""
+    csum = np.cumsum(cost)
+    start, base = 0, 0
+    while start < len(cost):
+        stop = max(int(np.searchsorted(csum, base + budget, side="right")), start + 1)
+        yield start, stop
+        base = csum[stop - 1]
+        start = stop
 
 
-class _Emitter:
-    def __init__(self, dim):
-        self.dim = dim
-        self.simplices = []
-        self.pa = []
-        self.pb = []
-        self.ph = []
-        self.vols = []
+class _Bins:
+    """Coarse cells listed by the uniform bins their bounding boxes meet."""
 
-    def add_piece(self, piece: np.ndarray, pa: int, pb: int, ph: int, ref_vol: float):
-        """Triangulate one clipped region and emit its simplices."""
-        if self.dim == 1:
-            if len(piece) < 2:
-                return
-            vol = float(piece[1, 0] - piece[0, 0])
-            if vol < SLIVER_REL_TOL * ref_vol:
-                return
-            self.simplices.append(piece)
-            self.pa.append(pa)
-            self.pb.append(pb)
-            self.ph.append(ph)
-            self.vols.append(vol)
-            return
-        for tri in triangulate_polygon(piece):
-            vol = _polygon_area(tri)
-            if vol < SLIVER_REL_TOL * ref_vol:
-                continue
-            self.simplices.append(tri)
-            self.pa.append(pa)
-            self.pb.append(pb)
-            self.ph.append(ph)
-            self.vols.append(vol)
+    def __init__(self, mesh: SimplicialMesh):
+        self.n_cells = mesh.n_cells
+        self.lo = mesh.vertices.min(axis=0)
+        self.n = max(1, int(np.ceil(np.sqrt(mesh.n_cells) + 1)))
+        self.side = (mesh.vertices.max(axis=0) - self.lo) / self.n
+        self.side[self.side == 0] = 1.0
+        simplices = mesh.vertices[mesh.cells]
+        cell, idx = _expand(*self.ranges(simplices.min(axis=1), simplices.max(axis=1)))
+        key = _flat(idx, self.n)
+        order = np.lexsort((cell, key))
+        self.cells = cell[order]
+        self.start = np.searchsorted(key[order], np.arange(self.n**mesh.dim + 1))
+        self.most = int(np.diff(self.start).max())
 
-    def finish(self, n_parents) -> Supermesh:
-        n = len(self.simplices)
-        shape = (n, self.dim + 1, self.dim)
-        simplices = (
-            np.asarray(self.simplices).reshape(shape) if n else np.empty(shape)
-        )
-        return Supermesh(
-            self.dim,
-            n_parents,
-            simplices,
-            np.asarray(self.pa, dtype=np.int64),
-            np.asarray(self.pb, dtype=np.int64),
-            np.asarray(self.ph, dtype=np.int64),
-            np.asarray(self.vols, dtype=float),
-        )
+    def ranges(self, lo, hi):
+        return _bin_ranges(lo, hi, self.lo, self.side, self.n)
+
+    def pairs(self, lo, hi):
+        """Sorted (row, coarse cell) candidates of the boxes [lo, hi]."""
+        row, idx = _expand(*self.ranges(lo, hi))
+        key = _flat(idx, self.n)
+        entry, k = _ragged(self.start[key + 1] - self.start[key])
+        cell = self.cells[self.start[key[entry]] + k]
+        pair = np.unique(row[entry] * self.n_cells + cell)
+        return pair // self.n_cells, pair % self.n_cells
+
+
+# --------------------------------------------------------------- pipeline
 
 
 def _check_covers_box(mesh: SimplicialMesh, haar: HaarMesh) -> None:
@@ -233,6 +274,90 @@ def _check_covers_box(mesh: SimplicialMesh, haar: HaarMesh) -> None:
     hi = mesh.vertices.max(axis=0)
     if np.max(np.abs(lo - haar.box.lo)) > 1e-10 or np.max(np.abs(hi - haar.box.hi)) > 1e-10:
         raise ValueError("mesh does not cover the Haar grid's box")
+
+
+def _intersect(pts: np.ndarray, simplices: np.ndarray):
+    """Step 2: clip fine simplices by their coarse simplices' half-planes,
+    edge by edge (interval ends in 1D). Returns (rows, pts, n) for the
+    pairs whose intersection has positive measure."""
+    n = np.full(len(pts), pts.shape[1])
+    if pts.shape[2] == 1:
+        pts, n = clip_to_boxes(pts, n, simplices.min(axis=1), simplices.max(axis=1))
+        rows = np.nonzero(n == 2)[0]
+        return rows, pts[rows], n[rows]
+    rows = np.arange(len(pts))
+    for e in range(3):
+        p, q = simplices[:, e], simplices[:, (e + 1) % 3]
+        edge = q - p
+        # inside (left of the directed edge): cross(edge, x - p) >= 0
+        normal = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+        offset = _matvec(normal[:, None, :], p)[:, 0]
+        pts, n = _halfplane_step(pts, n, _matvec(pts, normal) - offset[:, None])
+        live = np.nonzero(n)[0]  # an empty polygon stays empty
+        rows, pts, n, simplices = rows[live], pts[live], n[live], simplices[live]
+    live = np.nonzero(_areas(pts, n) > 0.0)[0]
+    return rows[live], pts[live], n[live]
+
+
+def _split_by_haar(haar: HaarMesh, pa, pb, pts, n, ref_vol, out: list) -> None:
+    """Steps 3 and 4: clip every piece to each of its candidate Haar cells,
+    triangulate, drop slivers and append the cell arrays to `out`."""
+    n_axis = haar.cells_per_axis
+    box_lo = np.asarray(haar.box.lo)
+    width = np.asarray(haar.box.hi) - box_lo
+    i0, i1 = _bin_ranges(*_bounds(pts, n), box_lo, width / n_axis, n_axis)
+    per_piece = (pts.shape[1] + 4) * _VERTEX_FLOATS  # four clips add <= 4 vertices
+    cost = np.maximum(i1 - i0 + 1, 0).prod(axis=1) * per_piece
+    for p0, p1 in _blocks(cost, CHUNK_FLOAT_BUDGET):
+        row, idx = _expand(i0[p0:p1], i1[p0:p1])
+        row += p0
+        lo = box_lo + idx * width / n_axis
+        hi = box_lo + (idx + 1) * width / n_axis
+        piece, k = clip_to_boxes(pts[row], n[row], lo, hi)
+        if pts.shape[2] == 1:
+            owner = np.nonzero(k == 2)[0]
+            simplices = piece[owner]
+            vol = simplices[:, 1, 0] - simplices[:, 0, 0]
+        else:
+            owner, simplices = fan_triangulate(piece, k)
+            vol = _areas(simplices, np.full(len(owner), 3))
+        src = row[owner]
+        keep = vol >= SLIVER_REL_TOL * ref_vol[pa[src]]
+        src, owner = src[keep], owner[keep]
+        out.append((simplices[keep], pa[src], pb[src], _flat(idx[owner], n_axis), vol[keep]))
+
+
+def _build(fine: SimplicialMesh, coarse, haar: HaarMesh) -> Supermesh:
+    dim = fine.dim
+    ref_vol = cell_volumes(fine)
+    step = max(1, CHUNK_FLOAT_BUDGET // ((dim + 4) * _VERTEX_FLOATS))  # pairs a block clips
+    out: list = []
+    if coarse is None:
+        for c0 in range(0, fine.n_cells, step):
+            pa = np.arange(c0, min(c0 + step, fine.n_cells))
+            pb = np.full(len(pa), -1, dtype=np.int64)
+            n = np.full(len(pa), dim + 1)
+            _split_by_haar(haar, pa, pb, fine.vertices[fine.cells[pa]], n, ref_vol, out)
+    else:
+        bins = _Bins(coarse)
+        simplices = fine.vertices[fine.cells]
+        lo, hi = simplices.min(axis=1), simplices.max(axis=1)
+        del simplices
+        i0, i1 = bins.ranges(lo, hi)
+        entries = np.maximum(i1 - i0 + 1, 0).prod(axis=1) * bins.most
+        for c0, c1 in _blocks(entries * _ENTRY_FLOATS, CHUNK_FLOAT_BUDGET):
+            row, cand = bins.pairs(lo[c0:c1], hi[c0:c1])
+            for q0 in range(0, len(row), step):
+                pa, pb = c0 + row[q0 : q0 + step], cand[q0 : q0 + step]
+                live, pts, n = _intersect(
+                    fine.vertices[fine.cells[pa]], coarse.vertices[coarse.cells[pb]]
+                )
+                _split_by_haar(haar, pa[live], pb[live], pts, n, ref_vol, out)
+    if not out:
+        empty = np.empty(0, dtype=np.int64)
+        out = [(np.empty((0, dim + 1, dim)), empty, empty, empty, np.empty(0))]
+    simplices, pa, pb, ph, vol = (np.concatenate(p) for p in zip(*out))
+    return Supermesh(dim, 2 if coarse is None else 3, simplices, pa, pb, ph, vol)
 
 
 def build_supermesh(mesh: SimplicialMesh, haar: HaarMesh) -> Supermesh:
@@ -243,62 +368,7 @@ def build_supermesh(mesh: SimplicialMesh, haar: HaarMesh) -> Supermesh:
     if mesh.dim != haar.dim:
         raise ValueError("mesh and Haar grid dimensions differ")
     _check_covers_box(mesh, haar)
-    em = _Emitter(mesh.dim)
-    vols = cell_volumes(mesh)
-    for ca in range(mesh.n_cells):
-        simplex = mesh.vertices[mesh.cells[ca]]
-        lo, hi = simplex.min(axis=0), simplex.max(axis=0)
-        ranges = _haar_candidate_range(haar, lo, hi)
-        for idx in _iter_ranges(ranges):
-            blo, bhi = _haar_bounds(haar, idx)
-            piece = clip_simplex_to_box_cell(simplex, blo, bhi)
-            em.add_piece(piece, ca, -1, _haar_flat(haar, idx), vols[ca])
-    return em.finish(2)
-
-
-def _iter_ranges(ranges):
-    if len(ranges) == 1:
-        for i in ranges[0]:
-            yield (i,)
-    else:
-        for i in ranges[0]:
-            for j in ranges[1]:
-                yield (i, j)
-
-
-class _CellBins:
-    """Uniform spatial binning of cell bounding boxes for candidate lookup."""
-
-    def __init__(self, mesh: SimplicialMesh, bins_per_axis: int):
-        self.lo = mesh.vertices.min(axis=0)
-        self.hi = mesh.vertices.max(axis=0)
-        self.n = max(1, bins_per_axis)
-        self.side = (self.hi - self.lo) / self.n
-        self.side[self.side == 0] = 1.0
-        self.bins = {}
-        for c in range(mesh.n_cells):
-            pts = mesh.vertices[mesh.cells[c]]
-            for key in self._keys(pts.min(axis=0), pts.max(axis=0)):
-                self.bins.setdefault(key, []).append(c)
-
-    def _keys(self, lo, hi):
-        i0 = np.maximum(0, np.floor((lo - self.lo) / self.side - 1e-9).astype(int))
-        i1 = np.minimum(
-            self.n - 1, np.floor((hi - self.lo) / self.side + 1e-9).astype(int)
-        )
-        if len(self.lo) == 1:
-            return [(i,) for i in range(i0[0], i1[0] + 1)]
-        return [
-            (i, j)
-            for i in range(i0[0], i1[0] + 1)
-            for j in range(i0[1], i1[1] + 1)
-        ]
-
-    def candidates(self, lo, hi):
-        out = set()
-        for key in self._keys(lo, hi):
-            out.update(self.bins.get(key, ()))
-        return sorted(out)
+    return _build(mesh, None, haar)
 
 
 def build_three_way_supermesh(
@@ -314,50 +384,22 @@ def build_three_way_supermesh(
         raise ValueError("dimension mismatch between parents")
     _check_covers_box(fine, haar)
     _check_covers_box(coarse, haar)
-    em = _Emitter(fine.dim)
-    fvols = cell_volumes(fine)
-    bins = _CellBins(coarse, int(np.ceil(np.sqrt(coarse.n_cells) + 1)))
-    for ca in range(fine.n_cells):
-        fsimplex = fine.vertices[fine.cells[ca]]
-        flo, fhi = fsimplex.min(axis=0), fsimplex.max(axis=0)
-        for cb in bins.candidates(flo, fhi):
-            csimplex = coarse.vertices[coarse.cells[cb]]
-            if fine.dim == 1:
-                a = max(flo[0], csimplex[:, 0].min())
-                b = min(fhi[0], csimplex[:, 0].max())
-                if b <= a:
-                    continue
-                inter = np.array([[a], [b]])
-            else:
-                inter = _clip_to_simplex(fsimplex, csimplex)
-                if _polygon_area(inter) <= 0.0:
-                    continue
-            ilo, ihi = inter.min(axis=0), inter.max(axis=0)
-            for idx in _iter_ranges(_haar_candidate_range(haar, ilo, ihi)):
-                blo, bhi = _haar_bounds(haar, idx)
-                if fine.dim == 1:
-                    a2, b2 = max(ilo[0], blo[0]), min(ihi[0], bhi[0])
-                    piece = (
-                        np.array([[a2], [b2]]) if b2 > a2 else np.empty((0, 1))
-                    )
-                else:
-                    piece = inter
-                    piece = _clip_halfplane(piece, (-1.0, 0.0), -blo[0])
-                    piece = _clip_halfplane(piece, (1.0, 0.0), bhi[0])
-                    piece = _clip_halfplane(piece, (0.0, -1.0), -blo[1])
-                    piece = _clip_halfplane(piece, (0.0, 1.0), bhi[1])
-                em.add_piece(piece, ca, cb, _haar_flat(haar, idx), fvols[ca])
-    return em.finish(3)
+    return _build(fine, coarse, haar)
 
 
 def write_supermesh_csv(sm: Supermesh, path) -> None:
     """CSV dump with the fixed header; coordinate slots a cell does not use
     (the third vertex in 1D) are written as 0."""
+    coords = np.zeros((len(sm), 3, 2))
+    coords[:, : sm.dim + 1, : sm.dim] = sm.simplices
+    rows = zip(
+        sm.parent_a.tolist(),
+        sm.parent_b.tolist(),
+        sm.parent_haar.tolist(),
+        sm.volumes.tolist(),
+        coords.reshape(len(sm), 6).tolist(),
+    )
     with open(path, "w") as f:
         f.write("parent_a,parent_b,parent_haar,volume,x0,y0,x1,y1,x2,y2\n")
-        for c in sm:
-            coords = np.zeros((3, 2))
-            k = c.simplex.shape[0]
-            coords[:k, : sm.dim] = c.simplex
-            flat = ",".join(repr(float(v)) for v in coords.ravel())
-            f.write(f"{c.parent_a},{c.parent_b},{c.parent_haar},{c.volume!r},{flat}\n")
+        for pa, pb, ph, vol, xy in rows:
+            f.write(f"{pa},{pb},{ph},{vol!r},{','.join(map(repr, xy))}\n")

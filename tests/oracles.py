@@ -3,14 +3,16 @@
 Everything here is deliberately written by a different route than the
 library code it checks: dense element loops instead of vectorized sparse
 assembly, explicit quadrature over supermesh cells instead of precomputed
-restriction tables, and root finding instead of rational approximation.
+restriction tables, root finding instead of rational approximation, and
+supermeshes clipped one polygon at a time instead of in batches.
 """
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc
 
-from haarmc.mesh import cell_volumes
+from haarmc.mesh import HaarMesh, SimplicialMesh, cell_volumes
+from haarmc.supermesh import Supermesh
 
 
 def mass_matrix(mesh):
@@ -134,3 +136,303 @@ def noise_covariances(tables, layout):
         for j in range(n_spaces):
             cov[i][j] = rows_z[i].T @ rows_z[j] + rows_c[i].T @ rows_c[j]
     return cov
+
+
+# ------------------------------------------------------------- supermesh
+# The one-polygon-at-a-time supermesh construction that the batched
+# builders in haarmc.supermesh replaced: candidate-cell index arithmetic,
+# sorted candidate sets from dict bins, and Sutherland-Hodgman clipping by
+# Python loops. The batched builders must reproduce its cells, their order
+# and their parents exactly.
+
+SLIVER_REL_TOL = 1e-14  # dropped when volume < this multiple of the parent volume
+VERTEX_DEDUP_TOL = 1e-12  # absolute merge tolerance for clipped polygon vertices
+
+
+def _dedup_polygon(poly: np.ndarray) -> np.ndarray:
+    """Drop consecutive vertices closer than the merge tolerance."""
+    if len(poly) == 0:
+        return poly
+    keep = []
+    for p in poly:
+        if not keep or np.max(np.abs(p - keep[-1])) > VERTEX_DEDUP_TOL:
+            keep.append(p)
+    while len(keep) > 1 and np.max(np.abs(keep[0] - keep[-1])) <= VERTEX_DEDUP_TOL:
+        keep.pop()
+    return np.asarray(keep)
+
+
+def _clip_halfplane(poly: np.ndarray, normal, offset: float) -> np.ndarray:
+    """Sutherland-Hodgman step: keep the part of a convex CCW polygon with
+    normal . x <= offset."""
+    if len(poly) == 0:
+        return poly
+    n = np.asarray(normal, dtype=float)
+    d = poly @ n - offset
+    out = []
+    k = len(poly)
+    for i in range(k):
+        j = (i + 1) % k
+        pi, pj = poly[i], poly[j]
+        di, dj = d[i], d[j]
+        if di <= 0.0:
+            out.append(pi)
+        if (di < 0.0 < dj) or (dj < 0.0 < di):
+            t = di / (di - dj)
+            out.append(pi + t * (pj - pi))
+    return _dedup_polygon(np.asarray(out)) if out else np.empty((0, 2))
+
+
+def _polygon_area(poly: np.ndarray) -> float:
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def clip_simplex_to_box_cell(simplex: np.ndarray, lo, hi) -> np.ndarray:
+    """Intersect a simplex with the axis-aligned cell [lo, hi].
+
+    Returns the vertices of the intersection: an interval (2, 1) in 1D or a
+    CCW convex polygon (k, 2) in 2D; empty array when the overlap is void.
+    """
+    simplex = np.asarray(simplex, dtype=float)
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    dim = simplex.shape[1]
+    if dim == 1:
+        a = max(simplex[:, 0].min(), lo[0])
+        b = min(simplex[:, 0].max(), hi[0])
+        if b <= a:
+            return np.empty((0, 1))
+        return np.array([[a], [b]])
+    poly = simplex
+    poly = _clip_halfplane(poly, (-1.0, 0.0), -lo[0])
+    poly = _clip_halfplane(poly, (1.0, 0.0), hi[0])
+    poly = _clip_halfplane(poly, (0.0, -1.0), -lo[1])
+    poly = _clip_halfplane(poly, (0.0, 1.0), hi[1])
+    if len(poly) < 3:
+        # a shared vertex or edge: measure zero, not an intersection cell
+        return np.empty((0, 2))
+    return poly
+
+
+def _clip_to_simplex(poly: np.ndarray, simplex: np.ndarray) -> np.ndarray:
+    """Clip a convex CCW polygon by the half-planes of a CCW simplex."""
+    for i in range(3):
+        p, q = simplex[i], simplex[(i + 1) % 3]
+        e = q - p
+        # inside (left of directed edge): cross(e, x - p) >= 0
+        normal = np.array([e[1], -e[0]])
+        poly = _clip_halfplane(poly, normal, float(normal @ p))
+        if len(poly) == 0:
+            break
+    return poly
+
+
+def triangulate_polygon(poly: np.ndarray) -> np.ndarray:
+    """Fan triangulation of a convex CCW polygon, shape (k - 2, 3, 2)."""
+    k = len(poly)
+    if k < 3:
+        return np.empty((0, 3, 2))
+    tris = [(poly[0], poly[i], poly[i + 1]) for i in range(1, k - 1)]
+    return np.asarray(tris)
+
+
+def _haar_candidate_range(haar: HaarMesh, lo, hi):
+    """Per-axis index ranges of Haar cells whose closure can meet [lo, hi]."""
+    n = haar.cells_per_axis
+    ranges = []
+    for a in range(haar.dim):
+        side = (haar.box.hi[a] - haar.box.lo[a]) / n
+        i0 = int(np.floor((lo[a] - haar.box.lo[a]) / side - 1e-9))
+        i1 = int(np.floor((hi[a] - haar.box.lo[a]) / side + 1e-9))
+        ranges.append(range(max(0, i0), min(n - 1, i1) + 1))
+    return ranges
+
+
+def _haar_flat(haar: HaarMesh, idx) -> int:
+    n = haar.cells_per_axis
+    flat = idx[0]
+    for a in range(1, haar.dim):
+        flat = flat * n + idx[a]
+    return flat
+
+
+def _haar_bounds(haar: HaarMesh, idx):
+    n = haar.cells_per_axis
+    lo = [haar.box.lo[a] + idx[a] * (haar.box.hi[a] - haar.box.lo[a]) / n for a in range(haar.dim)]
+    hi = [haar.box.lo[a] + (idx[a] + 1) * (haar.box.hi[a] - haar.box.lo[a]) / n for a in range(haar.dim)]
+    return np.asarray(lo), np.asarray(hi)
+
+
+class _Emitter:
+    def __init__(self, dim):
+        self.dim = dim
+        self.simplices = []
+        self.pa = []
+        self.pb = []
+        self.ph = []
+        self.vols = []
+
+    def add_piece(self, piece: np.ndarray, pa: int, pb: int, ph: int, ref_vol: float):
+        """Triangulate one clipped region and emit its simplices."""
+        if self.dim == 1:
+            if len(piece) < 2:
+                return
+            vol = float(piece[1, 0] - piece[0, 0])
+            if vol < SLIVER_REL_TOL * ref_vol:
+                return
+            self.simplices.append(piece)
+            self.pa.append(pa)
+            self.pb.append(pb)
+            self.ph.append(ph)
+            self.vols.append(vol)
+            return
+        for tri in triangulate_polygon(piece):
+            vol = _polygon_area(tri)
+            if vol < SLIVER_REL_TOL * ref_vol:
+                continue
+            self.simplices.append(tri)
+            self.pa.append(pa)
+            self.pb.append(pb)
+            self.ph.append(ph)
+            self.vols.append(vol)
+
+    def finish(self, n_parents) -> Supermesh:
+        n = len(self.simplices)
+        shape = (n, self.dim + 1, self.dim)
+        simplices = (
+            np.asarray(self.simplices).reshape(shape) if n else np.empty(shape)
+        )
+        return Supermesh(
+            self.dim,
+            n_parents,
+            simplices,
+            np.asarray(self.pa, dtype=np.int64),
+            np.asarray(self.pb, dtype=np.int64),
+            np.asarray(self.ph, dtype=np.int64),
+            np.asarray(self.vols, dtype=float),
+        )
+
+
+def _check_covers_box(mesh: SimplicialMesh, haar: HaarMesh) -> None:
+    lo = mesh.vertices.min(axis=0)
+    hi = mesh.vertices.max(axis=0)
+    if np.max(np.abs(lo - haar.box.lo)) > 1e-10 or np.max(np.abs(hi - haar.box.hi)) > 1e-10:
+        raise ValueError("mesh does not cover the Haar grid's box")
+
+
+def build_supermesh(mesh: SimplicialMesh, haar: HaarMesh) -> Supermesh:
+    """Common refinement of a simplicial mesh and a Haar grid.
+
+    Output cells are sorted by (mesh cell, Haar cell); parent_b is -1.
+    """
+    if mesh.dim != haar.dim:
+        raise ValueError("mesh and Haar grid dimensions differ")
+    _check_covers_box(mesh, haar)
+    em = _Emitter(mesh.dim)
+    vols = cell_volumes(mesh)
+    for ca in range(mesh.n_cells):
+        simplex = mesh.vertices[mesh.cells[ca]]
+        lo, hi = simplex.min(axis=0), simplex.max(axis=0)
+        ranges = _haar_candidate_range(haar, lo, hi)
+        for idx in _iter_ranges(ranges):
+            blo, bhi = _haar_bounds(haar, idx)
+            piece = clip_simplex_to_box_cell(simplex, blo, bhi)
+            em.add_piece(piece, ca, -1, _haar_flat(haar, idx), vols[ca])
+    return em.finish(2)
+
+
+def _iter_ranges(ranges):
+    if len(ranges) == 1:
+        for i in ranges[0]:
+            yield (i,)
+    else:
+        for i in ranges[0]:
+            for j in ranges[1]:
+                yield (i, j)
+
+
+class _CellBins:
+    """Uniform spatial binning of cell bounding boxes for candidate lookup."""
+
+    def __init__(self, mesh: SimplicialMesh, bins_per_axis: int):
+        self.lo = mesh.vertices.min(axis=0)
+        self.hi = mesh.vertices.max(axis=0)
+        self.n = max(1, bins_per_axis)
+        self.side = (self.hi - self.lo) / self.n
+        self.side[self.side == 0] = 1.0
+        self.bins = {}
+        for c in range(mesh.n_cells):
+            pts = mesh.vertices[mesh.cells[c]]
+            for key in self._keys(pts.min(axis=0), pts.max(axis=0)):
+                self.bins.setdefault(key, []).append(c)
+
+    def _keys(self, lo, hi):
+        i0 = np.maximum(0, np.floor((lo - self.lo) / self.side - 1e-9).astype(int))
+        i1 = np.minimum(
+            self.n - 1, np.floor((hi - self.lo) / self.side + 1e-9).astype(int)
+        )
+        if len(self.lo) == 1:
+            return [(i,) for i in range(i0[0], i1[0] + 1)]
+        return [
+            (i, j)
+            for i in range(i0[0], i1[0] + 1)
+            for j in range(i0[1], i1[1] + 1)
+        ]
+
+    def candidates(self, lo, hi):
+        out = set()
+        for key in self._keys(lo, hi):
+            out.update(self.bins.get(key, ()))
+        return sorted(out)
+
+
+def build_three_way_supermesh(
+    fine: SimplicialMesh, coarse: SimplicialMesh, haar: HaarMesh
+) -> Supermesh:
+    """Common refinement of two simplicial meshes and a Haar grid.
+
+    Fine and coarse cells are intersected pairwise, then every piece is
+    clipped against the candidate Haar cells. Output order is sorted by
+    (fine cell, coarse cell, Haar cell).
+    """
+    if not (fine.dim == coarse.dim == haar.dim):
+        raise ValueError("dimension mismatch between parents")
+    _check_covers_box(fine, haar)
+    _check_covers_box(coarse, haar)
+    em = _Emitter(fine.dim)
+    fvols = cell_volumes(fine)
+    bins = _CellBins(coarse, int(np.ceil(np.sqrt(coarse.n_cells) + 1)))
+    for ca in range(fine.n_cells):
+        fsimplex = fine.vertices[fine.cells[ca]]
+        flo, fhi = fsimplex.min(axis=0), fsimplex.max(axis=0)
+        for cb in bins.candidates(flo, fhi):
+            csimplex = coarse.vertices[coarse.cells[cb]]
+            if fine.dim == 1:
+                a = max(flo[0], csimplex[:, 0].min())
+                b = min(fhi[0], csimplex[:, 0].max())
+                if b <= a:
+                    continue
+                inter = np.array([[a], [b]])
+            else:
+                inter = _clip_to_simplex(fsimplex, csimplex)
+                if _polygon_area(inter) <= 0.0:
+                    continue
+            ilo, ihi = inter.min(axis=0), inter.max(axis=0)
+            for idx in _iter_ranges(_haar_candidate_range(haar, ilo, ihi)):
+                blo, bhi = _haar_bounds(haar, idx)
+                if fine.dim == 1:
+                    a2, b2 = max(ilo[0], blo[0]), min(ihi[0], bhi[0])
+                    piece = (
+                        np.array([[a2], [b2]]) if b2 > a2 else np.empty((0, 1))
+                    )
+                else:
+                    piece = inter
+                    piece = _clip_halfplane(piece, (-1.0, 0.0), -blo[0])
+                    piece = _clip_halfplane(piece, (1.0, 0.0), bhi[0])
+                    piece = _clip_halfplane(piece, (0.0, -1.0), -blo[1])
+                    piece = _clip_halfplane(piece, (0.0, 1.0), bhi[1])
+                em.add_piece(piece, ca, cb, _haar_flat(haar, idx), fvols[ca])
+    return em.finish(3)

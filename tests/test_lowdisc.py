@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haarmc import lowdisc
 from haarmc.lowdisc import (
     PURPOSE_NOISE,
     PURPOSE_SHIFT,
@@ -51,6 +52,14 @@ def test_dimension_overflow_message():
         SobolGenerator(SobolGenerator.MAX_DIM + 1)
     with pytest.raises(ValueError):
         sobol_points(GEN64, [2**31])
+
+
+def test_partial_direction_table_matches_full_parse():
+    """Generators parse the table only up to the widest dimension asked for;
+    every prefix, grown or not, equals the columns of a full parse."""
+    full = lowdisc._load_direction_numbers(SobolGenerator.MAX_DIM)
+    for dim in (24, 200, 3, 64):
+        np.testing.assert_array_equal(SobolGenerator(dim)._v, full[:, :dim])
 
 
 def test_zero_shift_is_identity():
