@@ -2,7 +2,8 @@
 
 Matrices are assembled over all vertices; homogeneous Dirichlet conditions
 are applied by restricting to interior rows and columns, which keeps the
-systems symmetric positive definite.
+systems symmetric positive definite. Every system is solved directly (sparse
+LU, or a tridiagonal sweep in 1D) and every solve checks its residual.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import gamma as _gamma
 
-from .mesh import SimplicialMesh, cell_volumes, vertex_injection_map
+from .mesh import SimplicialMesh, cell_volumes
 
 __all__ = [
     "MaternParams",
@@ -30,18 +31,16 @@ __all__ = [
     "embed_interior",
     "factorized_spd",
     "solve_spd",
+    "DiffusionSolver",
     "matern_field_from_noise",
-    "functional_l2sq",
     "cell_midpoint_values",
-    "transfer_field",
 ]
 
-DIRECT_SOLVE_MAX_DOFS = 5000
 RESIDUAL_RTOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve stopped short of the requested tolerance."""
+    """A linear solve left a relative residual above RESIDUAL_RTOL."""
 
 
 @dataclass(frozen=True)
@@ -120,11 +119,14 @@ def _scatter(mesh: SimplicialMesh, local: np.ndarray) -> sp.csr_matrix:
     return A.tocsr()
 
 
+def _reference_mass(d: int) -> np.ndarray:
+    """Local mass matrix of the reference simplex, per unit volume."""
+    return (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
+
+
 def assemble_mass(mesh: SimplicialMesh) -> sp.csr_matrix:
-    d = mesh.dim
     vols = cell_volumes(mesh)
-    ref = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
-    return _scatter(mesh, vols[:, None, None] * ref[None])
+    return _scatter(mesh, vols[:, None, None] * _reference_mass(mesh.dim)[None])
 
 
 def assemble_stiffness(
@@ -178,47 +180,17 @@ def embed_interior(x: np.ndarray, mesh: SimplicialMesh) -> np.ndarray:
     return out
 
 
-def factorized_spd(A: sp.spmatrix, tol: float = 1e-12) -> Callable:
-    """Return solve(b) for the SPD matrix A; b may be a vector or a matrix
-    of right-hand sides (columns).
-
-    Small systems are factorized once (sparse LU); larger ones use conjugate
-    gradients with Jacobi preconditioning. Every solve checks its residual.
-    """
-    n = A.shape[0]
+def factorized_spd(A: sp.spmatrix) -> Callable:
+    """Return solve(b) for the SPD matrix A, factorized once (sparse LU);
+    b may be a vector or a matrix of right-hand sides (columns). Every solve
+    checks its residual."""
     A = A.tocsc()
-    if n < DIRECT_SOLVE_MAX_DOFS:
-        lu = spla.splu(A)
-
-        def solve(b):
-            b = np.asarray(b, dtype=float)
-            x = lu.solve(b)
-            _check_residual(A, x, b)
-            return x
-
-        return solve
-
-    Acsr = A.tocsr()
-    inv_diag = 1.0 / Acsr.diagonal()
-    precond = spla.LinearOperator((n, n), matvec=lambda v: inv_diag * v)
-    maxiter = 10 * n
+    lu = spla.splu(A)
 
     def solve(b):
         b = np.asarray(b, dtype=float)
-        if b.ndim == 1:
-            x, info = spla.cg(Acsr, b, rtol=tol, atol=0.0, M=precond, maxiter=maxiter)
-            if info != 0:
-                raise ConvergenceError(f"cg stopped with status {info}")
-        else:
-            x = np.empty_like(b)
-            for j in range(b.shape[1]):
-                col, info = spla.cg(
-                    Acsr, b[:, j], rtol=tol, atol=0.0, M=precond, maxiter=maxiter
-                )
-                if info != 0:
-                    raise ConvergenceError(f"cg stopped with status {info}")
-                x[:, j] = col
-        _check_residual(Acsr, x, b)
+        x = lu.solve(b)
+        _check_residual(A, x, b)
         return x
 
     return solve
@@ -233,8 +205,144 @@ def _check_residual(A, x, b):
         raise ConvergenceError("linear solve residual above tolerance")
 
 
-def solve_spd(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    return factorized_spd(A, tol)(b)
+def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+    return factorized_spd(A)(b)
+
+
+# Symmetric-mode sparse LU for SPD systems: minimum degree on A + A^T and
+# the diagonal as pivot, which keeps the fill of a Cholesky factor.
+_SPD_SPLU = dict(
+    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+)
+
+
+class DiffusionSolver:
+    """Batched solves of K(u) p = f on one mesh: K(u) the interior
+    stiffness matrix with coefficient exp(u + shift) at cell midpoints (the
+    matrix of assemble_lognormal_diffusion), f the load of the unit source.
+
+    The pattern of K is fixed, so it is built once: the interior CSC
+    structure (`indptr`, `indices`) and a sparse map `W` from per-cell
+    weights vol * exp(u) to the CSC data, holding each cell's
+    grad(phi_i) . grad(phi_j) with the boundary rows and columns dropped.
+    A chunk of B samples then assembles all its matrices with one product,
+    weights @ W, in the arithmetic of assemble_lognormal_diffusion, and
+    solves them with one Thomas sweep vectorised over the batch in 1D
+    (K is SPD and tridiagonal in vertex order, so no pivoting is needed),
+    or with one symmetric-mode sparse LU per sample in 2D. The interior mass
+    matrix has the same pattern and is kept as CSC data for `norm_sq`.
+    Nothing is mutated after construction, so threads may share a solver.
+    """
+
+    def __init__(self, mesh: SimplicialMesh):
+        interior = mesh.interior_vertices
+        n = interior.size
+        if n == 0:
+            raise ValueError("mesh has no interior vertices")
+        pos = np.full(mesh.n_vertices, -1, dtype=np.int64)
+        pos[interior] = np.arange(n)
+        d1 = mesh.dim + 1
+        vols, grads = _local_arrays(mesh)
+        stiff = np.einsum("cik,cjk->cij", grads, grads)
+        mass = vols[:, None, None] * _reference_mass(mesh.dim)
+        rows = pos[np.repeat(mesh.cells, d1, axis=1)]
+        cols = pos[np.tile(mesh.cells, (1, d1))]
+        keep = (rows >= 0) & (cols >= 0)
+        keys = cols[keep] * n + rows[keep]  # CSC order: by column, then row
+        perm = None
+        if mesh.dim == 1:
+            perm = pos[interior[np.argsort(mesh.vertices[interior, 0], kind="stable")]]
+            # neighbours in vertex order are always in the pattern, so a
+            # boundary vertex inside the interval gives an explicit zero
+            links = np.concatenate([perm[:-1] * n + perm[1:], perm[1:] * n + perm[:-1]])
+            pattern = np.unique(np.concatenate([keys, links]))
+            if pattern.size != 3 * n - 2:
+                raise ValueError("1D interior matrix is not tridiagonal in vertex order")
+        else:
+            pattern = np.unique(keys)
+        nnz = pattern.size
+        slot = np.searchsorted(pattern, keys)
+        cell_ptr = np.zeros(mesh.n_cells + 1, dtype=np.int64)
+        np.cumsum(keep.sum(axis=1), out=cell_ptr[1:])
+        self.mesh = mesh
+        self.n = n
+        self._vols = vols
+        self.indices = pattern % n
+        self.indptr = np.searchsorted(pattern // n, np.arange(n + 1))
+        self.W = sp.csr_matrix(
+            (stiff.reshape(len(keep), -1)[keep], slot, cell_ptr),
+            shape=(mesh.n_cells, nnz),
+        )
+        self.mass_data = np.bincount(
+            slot, weights=mass.reshape(len(keep), -1)[keep], minlength=nnz
+        )
+        self.load = assemble_load(mesh)[interior]
+        self._perm = perm
+        if perm is not None:
+            self._diag = np.searchsorted(pattern, perm * n + perm)
+            self._off = np.searchsorted(pattern, perm[:-1] * n + perm[1:])
+
+    def matrix_data(self, u: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """CSC data of K for each row of nodal values u, shape (B, nnz)."""
+        coeff = np.exp(cell_midpoint_values(self.mesh, u + shift))
+        if not np.all(np.isfinite(coeff)):
+            raise ValueError("diffusion coefficient is not finite")
+        return np.asarray((self._vols * coeff) @ self.W)
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """The CSC matrix with this pattern and one row of data."""
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def solve(self, u: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """Interior solutions p, shape (B, n), for rows of nodal values u."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim != 2:
+            raise ValueError("u must have shape (batch, n_vertices)")
+        data = self.matrix_data(u, shift)
+        if self._perm is not None:
+            p = self._thomas(data)
+        else:
+            data = np.ascontiguousarray(data)
+            p = np.empty((u.shape[0], self.n))
+            for b in range(u.shape[0]):
+                p[b] = spla.splu(self.matrix(data[b]), **_SPD_SPLU).solve(self.load)
+        r = self._apply(data, p) - self.load
+        if np.any(np.linalg.norm(r, axis=1) > RESIDUAL_RTOL * np.linalg.norm(self.load)):
+            raise ConvergenceError("diffusion solve residual above tolerance")
+        return p
+
+    def _apply(self, data: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Row-wise products A p for symmetric matrices A with this pattern:
+        data (B, nnz) or one row (nnz,) shared by all rows of p (B, n)."""
+        # for symmetric A the CSC column sums of data * p[indices] are A p
+        return np.add.reduceat(data * p[:, self.indices], self.indptr[:-1], axis=1)
+
+    def norm_sq(self, p: np.ndarray) -> np.ndarray:
+        """Squared L2 norms of the P1 functions with interior values p (B, n)."""
+        return np.einsum("bi,bi->b", p, self._apply(self.mass_data, p))
+
+    def _thomas(self, data: np.ndarray) -> np.ndarray:
+        # LU without pivoting in vertex order, in the operation order of a
+        # sparse LU: multipliers by the reciprocal pivot, then a forward and
+        # a backward sweep
+        perm = self._perm
+        a = data[:, self._diag].T  # (n, B) diagonal in vertex order
+        c = data[:, self._off].T  # (n - 1, B) off-diagonal
+        f = self.load[perm]
+        piv = np.empty_like(a)
+        x = np.empty_like(a)
+        piv[0] = a[0]
+        x[0] = f[0]
+        for i in range(1, self.n):
+            lo = c[i - 1] * (1.0 / piv[i - 1])
+            piv[i] = a[i] - lo * c[i - 1]
+            x[i] = f[i] - lo * x[i - 1]
+        x[-1] /= piv[-1]
+        for i in range(self.n - 2, -1, -1):
+            x[i] = (x[i] - c[i] * x[i + 1]) / piv[i]
+        out = np.empty((x.shape[1], self.n))
+        out[:, perm] = x.T
+        return out
 
 
 def matern_field_from_noise(
@@ -256,26 +364,7 @@ def matern_field_from_noise(
     return embed_interior(x.T if b.ndim > 1 else x, mesh)
 
 
-def functional_l2sq(mesh: SimplicialMesh, p: np.ndarray, M: Optional[sp.spmatrix] = None) -> float:
-    """Squared L2 norm of the P1 function with nodal values p."""
-    if M is None:
-        M = assemble_mass(mesh)
-    p = np.asarray(p, dtype=float)
-    if p.ndim > 1:
-        return np.einsum("bi,bi->b", p, (M @ p.T).T)
-    return float(p @ (M @ p))
-
-
 def cell_midpoint_values(mesh: SimplicialMesh, u: np.ndarray) -> np.ndarray:
     """Per-cell value of a P1 function at cell midpoints: the vertex mean."""
     u = np.asarray(u, dtype=float)
     return u[..., mesh.cells].mean(axis=-1)
-
-
-def transfer_field(
-    u: np.ndarray, sup: SimplicialMesh, sub: SimplicialMesh
-) -> np.ndarray:
-    """Restrict nodal values from a mesh to a nested submesh by exact vertex
-    injection; raises if the submesh vertices are not all present."""
-    inj = vertex_injection_map(sub, sup)
-    return np.asarray(u, dtype=float)[..., inj]

@@ -36,8 +36,9 @@ PURPOSE_SHIFT = 1  # digital-shift masks for one randomization
 PURPOSE_NOISE = 2  # per-sample white-noise draws
 
 
-def _load_direction_numbers(max_dim: int):
-    """Parse the bundled `d s a m_i` table into direction integers.
+def _load_direction_numbers(max_dim: int, source=None):
+    """Parse a `d s a m_i` table (the bundled Joe-Kuo file unless `source`
+    names another) into direction integers.
 
     Returns an array of shape (_BITS, max_dim) of uint64; column j holds the
     direction integers of dimension j+1 (dimension 1 is the trivial van der
@@ -45,10 +46,12 @@ def _load_direction_numbers(max_dim: int):
     """
     V = np.zeros((_BITS, max_dim), dtype=np.uint64)
     V[:, 0] = [1 << (_BITS - i) for i in range(1, _BITS + 1)]
-    ref = resources.files("haarmc").joinpath("data/joe-kuo-d6-1120.txt")
-    with ref.open() as f:
+    if source is None:
+        source = resources.files("haarmc").joinpath("data/joe-kuo-d6-1120.txt")
+    with source.open() as f:
         header = f.readline()
-        assert header.split()[0] == "d"
+        if header.split()[:1] != ["d"]:
+            raise ValueError(f"direction number table has a bad header: {header!r}")
         for line in f:
             parts = line.split()
             if not parts:

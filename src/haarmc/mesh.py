@@ -172,26 +172,19 @@ def build_uniform_mesh(
     X, Y = np.meshgrid(x, y, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            if diagonal == "right":
-                cells.append((a, b, c))
-                cells.append((a, c, d))
-            else:
-                cells.append((a, b, d))
-                cells.append((b, c, d))
+    # square (i, j) in row-major order, corners a=(i,j) b=(i+1,j) c=(i+1,j+1)
+    # d=(i,j+1); two triangles per square, in that order
+    a = (np.arange(n)[:, None] * (n + 1) + np.arange(n)[None, :]).ravel()
+    b, c, d = a + (n + 1), a + (n + 2), a + 1
+    if diagonal == "right":
+        tris = (a, b, c), (a, c, d)
+    else:
+        tris = (a, b, d), (b, c, d)
+    cells = np.stack([np.stack(t, axis=1) for t in tris], axis=1).reshape(-1, 3)
     ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     on_bd = (ii == 0) | (ii == n) | (jj == 0) | (jj == n)
     boundary = np.nonzero(on_bd.ravel())[0]
-    return SimplicialMesh(2, vertices, np.asarray(cells), boundary)
+    return SimplicialMesh(2, vertices, cells, boundary)
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,17 @@ __all__ = [
     "write_screening_csv",
     "write_nvar_csv",
     "write_estimate_csv",
+    "AllocationError",
     "ConvergenceFailure",
 ]
 
 DEFAULT_M = 32
 MIN_FIT_LEVEL = 2
+
+
+class AllocationError(ArithmeticError):
+    """The optimal MLMC allocation cannot meet the variance budget in
+    representable sample counts."""
 
 
 class ConvergenceFailure(RuntimeError):
@@ -84,9 +90,11 @@ def mlmc_optimal_allocation(V: Sequence[float], C: Sequence[float], eps: float, 
         raise ValueError("need eps > 0 and 0 < theta < 1")
     budget = (1.0 - theta) * eps**2
     total = np.sum(np.sqrt(V * C))
-    N = np.ceil(total * np.sqrt(V / C) / budget).astype(np.int64)
-    assert float(np.sum(V / N)) <= budget * (1.0 + 1e-12)
-    return N
+    N = np.ceil(total * np.sqrt(V / C) / budget)
+    # also false for NaN, and for counts too large for int64
+    if not (np.all(N < 2.0**62) and float(np.sum(V / N)) <= budget * (1.0 + 1e-12)):
+        raise AllocationError("sample counts miss the variance budget")
+    return N.astype(np.int64)
 
 
 def fit_rate(levels: Sequence[int], values: Sequence[float], min_level: int = MIN_FIT_LEVEL):

@@ -211,15 +211,9 @@ def _matern_batch(ctx: LevelContext, z: np.ndarray, z_cells: np.ndarray):
     return out_f, u_c[:, ctx.inj_coarse]
 
 
-def _functional(g_mesh, M_int, u_g: np.ndarray, shift: float) -> np.ndarray:
+def _functional(solver: fem.DiffusionSolver, u_g: np.ndarray, shift: float) -> np.ndarray:
     """P = squared L2 norm of the pressure for each coefficient field."""
-    out = np.empty(u_g.shape[0])
-    load = fem.assemble_load(g_mesh)[g_mesh.interior_vertices]
-    for i in range(u_g.shape[0]):
-        K = fem.assemble_lognormal_diffusion(g_mesh, u_g[i] + shift)
-        p = fem.solve_spd(K, load)
-        out[i] = p @ (M_int @ p)
-    return out
+    return solver.norm_sq(solver.solve(u_g, shift))
 
 
 def _y_batch(
@@ -231,8 +225,8 @@ def _y_batch(
     use_qmc: bool,
     gen,
     shift,
-    mass_int,
-    mass_int_coarse,
+    fine,
+    coarse,
 ) -> np.ndarray:
     out = np.empty(n1 - n0)
     step = ctx.chunk_size
@@ -240,11 +234,9 @@ def _y_batch(
         b = min(a + step, n1)
         z, zc = _draw_inputs(ctx, seed, m, a, b, use_qmc, gen, shift)
         u_f, u_c = _matern_batch(ctx, z, zc)
-        y = _functional(ctx.g_mesh, mass_int, u_f, ctx.params.mean_shift)
+        y = _functional(fine, u_f, ctx.params.mean_shift)
         if ctx.coupled:
-            y = y - _functional(
-                ctx.g_coarse, mass_int_coarse, u_c, ctx.params.mean_shift
-            )
+            y = y - _functional(coarse, u_c, ctx.params.mean_shift)
         out[a - n0 : b - n0] = y
     return out
 
@@ -264,23 +256,29 @@ def make_level_samplers(
     if cost_model not in ("dofs", "wall"):
         raise ValueError("cost_model must be 'dofs' or 'wall'")
     gens: dict = {}
+    solvers: dict = {}
     samplers = []
     for ctx in contexts:
-        samplers.append(_make_sampler(ctx, seed, use_qmc, cost_model, gens))
+        samplers.append(_make_sampler(ctx, seed, use_qmc, cost_model, gens, solvers))
     return samplers
 
 
-def _make_sampler(ctx, seed, use_qmc, cost_model, gens):
+def _diffusion(g_mesh, solvers: dict) -> fem.DiffusionSolver:
+    """The diffusion solver of a G mesh, built once per mesh: the fine mesh
+    of one position is the coarse mesh of the next."""
+    key = id(g_mesh)
+    if key not in solvers:
+        solvers[key] = fem.DiffusionSolver(g_mesh)
+    return solvers[key]
+
+
+def _make_sampler(ctx, seed, use_qmc, cost_model, gens, solvers):
     qd = ctx.layout.qmc_dim
     if use_qmc and qd not in gens:
         gens[qd] = SobolGenerator(qd)
     gen = gens.get(qd)
-    mass_int = fem.restrict_interior(fem.assemble_mass(ctx.g_mesh), ctx.g_mesh)
-    mass_int_c = (
-        fem.restrict_interior(fem.assemble_mass(ctx.g_coarse), ctx.g_coarse)
-        if ctx.coupled
-        else None
-    )
+    fine = _diffusion(ctx.g_mesh, solvers)
+    coarse = _diffusion(ctx.g_coarse, solvers) if ctx.coupled else None
     sampler = LevelSampler(level=ctx.position, cost=ctx.dof_cost, batch=None)
     timing = {"seconds": 0.0, "samples": 0}
 
@@ -291,9 +289,7 @@ def _make_sampler(ctx, seed, use_qmc, cost_model, gens):
                 RandomStream(seed, ctx.position, m, 0, PURPOSE_SHIFT), qd
             )
         t0 = time.perf_counter()
-        y = _y_batch(
-            ctx, seed, m, n0, n1, use_qmc, gen, shift, mass_int, mass_int_c
-        )
+        y = _y_batch(ctx, seed, m, n0, n1, use_qmc, gen, shift, fine, coarse)
         if cost_model == "wall":
             timing["seconds"] += time.perf_counter() - t0
             timing["samples"] += n1 - n0

@@ -30,6 +30,7 @@ from .mesh import HaarMesh, SimplicialMesh, cell_volumes
 from .supermesh import Supermesh
 
 __all__ = [
+    "CouplingError",
     "HaarLayout",
     "WhiteNoiseDraw",
     "CellGeometryTables",
@@ -47,6 +48,11 @@ __all__ = [
 ]
 
 COUPLING_TOL = 1e-10  # fine/coarse agreement of the cell averages
+
+
+class CouplingError(RuntimeError):
+    """Fine and coarse cell averages of one noise event disagree beyond
+    COUPLING_TOL, so the two halves of a level pair are not coupled."""
 
 
 def qmc_block_size(dim: int, level: int, total: int) -> int:
@@ -73,8 +79,7 @@ class HaarLayout:
     shifts: np.ndarray  # (total_dim, dim) shift vector per coefficient
     qmc_dim: int
 
-    _cell_idx: Optional[np.ndarray] = field(default=None, repr=False)
-    _cell_coef: Optional[np.ndarray] = field(default=None, repr=False)
+    _transform: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def total_dim(self) -> int:
@@ -82,14 +87,36 @@ class HaarLayout:
 
     def index_of(self, l, n) -> int:
         """Position of coefficient (l, n) in the flat ordering."""
-        key = (tuple(l), tuple(n))
-        return self._lookup[key]
+        i = int(self.flat_indices(np.asarray(l), np.asarray(n)))
+        if i < 0:
+            raise KeyError((tuple(l), tuple(n)))
+        return i
+
+    def flat_indices(self, l: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """Positions of the coefficients (l[..., :], n[..., :]) in the flat
+        ordering, -1 where there is no such coefficient."""
+        key = self._key(l, n)
+        at = np.minimum(np.searchsorted(self._sorted_keys, key), self.total_dim - 1)
+        return np.where(self._sorted_keys[at] == key, self._key_order[at], -1)
+
+    def _key(self, l, n) -> np.ndarray:
+        # (l + 1, n) as digits: level digits in base L + 2, shift digits in
+        # base 2^max(L, 0); out-of-range entries get a key no coefficient has
+        l = np.asarray(l, dtype=np.int64)
+        n = np.asarray(n, dtype=np.int64)
+        lbase, nbase = self.level + 2, 1 << max(self.level, 0)
+        key = np.zeros(l.shape[:-1], dtype=np.int64)
+        ok = np.ones(l.shape[:-1], dtype=bool)
+        for i in range(self.dim):
+            key = (key * lbase + l[..., i] + 1) * nbase + n[..., i]
+            ok &= (l[..., i] >= -1) & (l[..., i] < lbase - 1)
+            ok &= (n[..., i] >= 0) & (n[..., i] < nbase)
+        return np.where(ok, key, -1)
 
     def __post_init__(self):
-        self._lookup = {
-            (tuple(l), tuple(n)): i
-            for i, (l, n) in enumerate(zip(self.levels, self.shifts))
-        }
+        keys = self._key(self.levels, self.shifts)
+        self._key_order = np.argsort(keys)
+        self._sorted_keys = keys[self._key_order]
 
     def transform_tables(self):
         """Per-Haar-cell index and signed-scale tables for haar_cell_values.
@@ -97,9 +124,11 @@ class HaarLayout:
         Shapes (n_haar_cells, (L+2)^dim); entry [k, j] selects the unique
         wavelet of the j-th level vector overlapping cell k.
         """
-        if self._cell_idx is None:
-            self._cell_idx, self._cell_coef = _build_transform(self)
-        return self._cell_idx, self._cell_coef
+        # built on first use and published with one assignment, so threads
+        # sharing the layout never see half of it
+        if self._transform is None:
+            self._transform = _build_transform(self)
+        return self._transform
 
 
 def _level_range(level: int):
@@ -140,8 +169,7 @@ def _build_transform(layout: HaarLayout):
         nbar = np.floor(mids * (2.0 ** np.array(lvec))).astype(np.int64)
         half = np.floor(mids * (2.0 ** (np.array(lvec) + 1))).astype(np.int64)
         sign = np.prod(1 - 2 * (half % 2), axis=1)
-        for k in range(n_cells):
-            idx[k, j] = layout.index_of(lvec, nbar[k])
+        idx[:, j] = layout.flat_indices(np.broadcast_to(lvec, nbar.shape), nbar)
         coef[:, j] = sign * scale
     return idx, coef
 
@@ -370,9 +398,7 @@ def apply_correction(tables: CellGeometryTables, b_M_parts):
     if len(w_per_space) > 1:
         scale = max(1.0, float(np.max(np.abs(w))))
         if np.max(np.abs(w_per_space[0] - w)) > COUPLING_TOL * scale:
-            raise AssertionError(
-                "fine and coarse cell averages disagree beyond tolerance"
-            )
+            raise CouplingError("fine and coarse cell averages disagree beyond tolerance")
     out = []
     for st, P in zip(tables.spaces, b_M_parts):
         out.append(np.asarray(P.sum(axis=1)).ravel() - st.I_mat @ w)
@@ -409,9 +435,7 @@ def apply_noise_maps(
     if tables.coupled:
         scale = max(1.0, float(np.max(np.abs(ref))))
         if np.max(np.abs(sums[0] - sums[1])) > COUPLING_TOL * scale:
-            raise AssertionError(
-                "fine and coarse cell averages disagree beyond tolerance"
-            )
+            raise CouplingError("fine and coarse cell averages disagree beyond tolerance")
     w = ref / tables.haar.cell_volume
     delta = wbar - w
     out = []

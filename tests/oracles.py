@@ -7,11 +7,14 @@ restriction tables, root finding instead of rational approximation, and
 supermeshes clipped one polygon at a time instead of in batches.
 """
 
+import itertools
+
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc
 
-from haarmc.mesh import HaarMesh, SimplicialMesh, cell_volumes
+from haarmc.fem import assemble_mass
+from haarmc.mesh import HaarMesh, SimplicialMesh, cell_volumes, vertex_injection_map
 from haarmc.supermesh import Supermesh
 
 
@@ -24,6 +27,66 @@ def mass_matrix(mesh):
     for cell, vol in zip(mesh.cells, cell_volumes(mesh)):
         M[np.ix_(cell, cell)] += vol * base
     return M
+
+
+def functional_l2sq(mesh, p, M=None):
+    """Squared L2 norm of the P1 function with nodal values p (rows of a
+    batch give one value each)."""
+    if M is None:
+        M = assemble_mass(mesh)
+    p = np.asarray(p, dtype=float)
+    if p.ndim > 1:
+        return np.einsum("bi,bi->b", p, (M @ p.T).T)
+    return float(p @ (M @ p))
+
+
+def transfer_field(u, sup, sub):
+    """Restrict nodal values from a mesh to a nested submesh by exact vertex
+    injection; raises if the submesh vertices are not all present."""
+    inj = vertex_injection_map(sub, sup)
+    return np.asarray(u, dtype=float)[..., inj]
+
+
+def uniform_mesh_cells_2d(n, diagonal):
+    """Cells of the uniform 2D mesh with n squares per axis, one square at a
+    time: square (i, j) gives two triangles along the chosen diagonal."""
+
+    def vid(i, j):
+        return i * (n + 1) + j
+
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            if diagonal == "right":
+                cells += [(a, b, c), (a, c, d)]
+            else:
+                cells += [(a, b, d), (b, c, d)]
+    return np.asarray(cells, dtype=np.int64)
+
+
+def haar_transform_tables(layout):
+    """Per-Haar-cell index and signed-scale tables, one dict lookup of
+    (level vector, shift vector) per cell and level vector."""
+    d, L = layout.dim, layout.level
+    lookup = {
+        (tuple(l), tuple(n)): i for i, (l, n) in enumerate(zip(layout.levels, layout.shifts))
+    }
+    nside = 1 << (L + 1)
+    n_cells = nside**d
+    lvecs = list(itertools.product(range(-1, L + 1), repeat=d))
+    idx = np.empty((n_cells, len(lvecs)), dtype=np.int64)
+    coef = np.empty((n_cells, len(lvecs)), dtype=np.float64)
+    mids = (np.indices((nside,) * d).reshape(d, -1).T + 0.5) / nside
+    for j, lvec in enumerate(lvecs):
+        scale = 2.0 ** (0.5 * sum(max(li, 0) for li in lvec))
+        nbar = np.floor(mids * (2.0 ** np.array(lvec))).astype(np.int64)
+        half = np.floor(mids * (2.0 ** (np.array(lvec) + 1))).astype(np.int64)
+        sign = np.prod(1 - 2 * (half % 2), axis=1)
+        for k in range(n_cells):
+            idx[k, j] = lookup[(lvec, tuple(nbar[k]))]
+        coef[:, j] = sign * scale
+    return idx, coef
 
 
 def barycentric(parent, points):

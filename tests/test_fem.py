@@ -1,4 +1,5 @@
-"""P1 assembly, solvers, field transfer, and the output functional."""
+"""P1 assembly, solvers, the batched diffusion solver, field transfer, and
+the output functional."""
 
 import math
 
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from haarmc import fem
 from haarmc.fem import (
     ConvergenceError,
+    DiffusionSolver,
     MaternParams,
     assemble_helmholtz,
     assemble_load,
@@ -16,14 +19,13 @@ from haarmc.fem import (
     assemble_stiffness,
     embed_interior,
     factorized_spd,
-    functional_l2sq,
     matern_field_from_noise,
     restrict_interior,
     solve_spd,
-    transfer_field,
 )
-from haarmc.mesh import Box, build_uniform_mesh
+from haarmc.mesh import Box, SimplicialMesh, build_uniform_mesh
 import oracles
+from oracles import functional_l2sq, transfer_field
 
 G2 = Box((-0.5, -0.5), (0.5, 0.5))
 UNIT1 = Box((0.0,), (1.0,))
@@ -233,3 +235,92 @@ def test_matern_field_batch_matches_single():
         )
     # homogeneous Dirichlet data on the outer boundary
     np.testing.assert_array_equal(batch[:, mesh.boundary_vertices], 0.0)
+
+
+# ------------------------------------------------------- batched diffusion
+
+
+def _jittered_2d(n, amount, seed):
+    mesh = build_uniform_mesh(G2, 2, n)
+    rng = np.random.default_rng(seed)
+    V = mesh.vertices.copy()
+    inner = mesh.interior_vertices
+    V[inner] += amount * rng.uniform(-1.0, 1.0, (inner.size, 2)) / n
+    return SimplicialMesh(2, V, mesh.cells.copy(), mesh.boundary_vertices)
+
+
+def _shuffled_1d(n, seed):
+    """Uniform 1D mesh with its vertices stored in random order."""
+    mesh = build_uniform_mesh(Box((-0.5,), (0.5,)), 1, n)
+    order = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    new_of_old = np.argsort(order)
+    return SimplicialMesh(
+        1, mesh.vertices[order], new_of_old[mesh.cells], np.sort(new_of_old[mesh.boundary_vertices])
+    )
+
+
+SOLVER_MESHES = {
+    "1d-uniform": lambda: build_uniform_mesh(Box((-0.5,), (0.5,)), 1, 64),
+    "1d-one-dof": lambda: build_uniform_mesh(UNIT1, 1, 2),
+    "1d-shuffled": lambda: _shuffled_1d(17, 5),
+    "2d-uniform": lambda: build_uniform_mesh(G2, 2, 16),
+    "2d-one-dof": lambda: build_uniform_mesh(UNIT2, 2, 2),
+    "2d-jittered": lambda: _jittered_2d(8, 0.3, 11),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("name", sorted(SOLVER_MESHES))
+def test_diffusion_solver_matches_per_sample_path(name, batch):
+    mesh = SOLVER_MESHES[name]()
+    solver = DiffusionSolver(mesh)
+    rng = np.random.default_rng(batch)
+    u = 0.7 * rng.standard_normal((batch, mesh.n_vertices))
+    shift = -0.1
+    load = assemble_load(mesh)[mesh.interior_vertices]
+    np.testing.assert_array_equal(solver.load, load)
+    p = solver.solve(u, shift)
+    M = restrict_interior(assemble_mass(mesh), mesh)
+    for b in range(batch):
+        K = assemble_lognormal_diffusion(mesh, u[b] + shift)
+        K_batched = solver.matrix(solver.matrix_data(u[b], shift)).toarray()
+        np.testing.assert_allclose(K_batched, K.toarray(), rtol=1e-13, atol=1e-13 * abs(K).max())
+        ref = solve_spd(K, load)
+        assert np.max(np.abs(p[b] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert solver.norm_sq(p[b : b + 1])[0] == pytest.approx(ref @ (M @ ref), rel=1e-12)
+
+
+def test_diffusion_solver_rows_do_not_depend_on_the_batch():
+    mesh = build_uniform_mesh(Box((-0.5,), (0.5,)), 1, 32)
+    solver = DiffusionSolver(mesh)
+    u = np.random.default_rng(2).standard_normal((9, mesh.n_vertices))
+    whole = solver.solve(u)
+    np.testing.assert_array_equal(np.vstack([solver.solve(u[:4]), solver.solve(u[4:])]), whole)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_diffusion_solver_zero_tolerance_raises(dim, monkeypatch):
+    mesh = build_uniform_mesh(G2 if dim == 2 else Box((-0.5,), (0.5,)), dim, 8)
+    solver = DiffusionSolver(mesh)
+    u = np.random.default_rng(6).standard_normal((3, mesh.n_vertices))
+    solver.solve(u)
+    monkeypatch.setattr(fem, "RESIDUAL_RTOL", 0.0)
+    with pytest.raises(ConvergenceError):
+        solver.solve(u)
+
+
+def test_diffusion_solver_rejects_nonfinite():
+    mesh = build_uniform_mesh(G2, 2, 4)
+    solver = DiffusionSolver(mesh)
+    u = np.zeros((2, mesh.n_vertices))
+    u[1, 3] = np.nan
+    with pytest.raises(ValueError):
+        solver.solve(u)
+    u[1, 3] = np.inf
+    with pytest.raises(ValueError):
+        solver.solve(u)
+
+
+def test_diffusion_solver_rejects_mesh_without_interior():
+    with pytest.raises(ValueError):
+        DiffusionSolver(build_uniform_mesh(UNIT2, 2, 1))

@@ -177,3 +177,16 @@ def test_hybrid_pipeline_moments():
     var_tol = 4.0 * np.sqrt(2.0 / n)
     assert np.max(np.abs(z.mean(axis=0))) < mean_tol
     assert np.max(np.abs(z.var(axis=0, ddof=1) - 1.0)) < var_tol
+
+
+def test_direction_table_rejects_bad_header(tmp_path):
+    good = tmp_path / "good.txt"
+    good.write_text("d       s       a       m_i\n2       1       0       1\n")
+    np.testing.assert_array_equal(
+        lowdisc._load_direction_numbers(2, good), lowdisc._load_direction_numbers(2)
+    )
+    for header in ("s d a m_i\n", "\n"):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(header + "2       1       0       1\n")
+        with pytest.raises(ValueError, match="header"):
+            lowdisc._load_direction_numbers(2, bad)

@@ -4,6 +4,7 @@ import pytest
 from haarmc.mesh import (
     Box,
     HaarMesh,
+    SimplicialMesh,
     build_hierarchy,
     build_uniform_mesh,
     cell_volumes,
@@ -14,6 +15,7 @@ from haarmc.mesh import (
     vertex_injection_map,
     write_mesh,
 )
+import oracles
 
 UNIT1 = Box((0.0,), (1.0,))
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
@@ -183,3 +185,17 @@ def test_mesh_io_round_trip(tmp_path, dim, n):
     np.testing.assert_allclose(back.vertices, mesh.vertices, atol=1e-15)
     np.testing.assert_array_equal(back.cells, mesh.cells)
     assert set(back.boundary_vertices) == set(mesh.boundary_vertices)
+
+
+@pytest.mark.parametrize("diagonal", ["right", "left"])
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_uniform_mesh_cells_match_square_loop(n, diagonal):
+    box = Box((-0.5, -1.0), (1.5, 0.25))
+    mesh = build_uniform_mesh(box, 2, n, diagonal=diagonal)
+    cells = oracles.uniform_mesh_cells_2d(n, diagonal)
+    ref = SimplicialMesh(2, mesh.vertices.copy(), cells, mesh.boundary_vertices)
+    assert mesh.cells.dtype == ref.cells.dtype
+    np.testing.assert_array_equal(mesh.cells, ref.cells)
+    V = mesh.vertices
+    on_bd = np.isclose(V, box.lo).any(axis=1) | np.isclose(V, box.hi).any(axis=1)
+    np.testing.assert_array_equal(mesh.boundary_vertices, np.nonzero(on_bd)[0])

@@ -19,6 +19,7 @@ from haarmc.lowdisc import (
     sobol_points,
 )
 from haarmc.mlqmc import (
+    AllocationError,
     ConvergenceFailure,
     LevelSampler,
     fit_rate,
@@ -289,3 +290,11 @@ def test_csv_writers(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0] == ["epsilon", "total_cost", "estimate"]
     assert float(rows[1][2]) == 1.0625
+
+
+def test_allocation_error_when_budget_cannot_be_met():
+    # counts beyond int64, and a NaN variance, cannot meet the budget
+    with pytest.raises(AllocationError):
+        mlmc_optimal_allocation([1e300, 1.0], [1.0, 1.0], 1e-3, 0.5)
+    with pytest.raises(AllocationError):
+        mlmc_optimal_allocation([float("nan")], [1.0], 0.1, 0.5)

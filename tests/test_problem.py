@@ -62,6 +62,57 @@ def test_sampler_determinism():
     assert not np.array_equal(y3, y_mc)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sampler_matches_per_sample_diffusion_path(dim):
+    # the batched diffusion solver against assemble_lognormal_diffusion +
+    # solve_spd on the same fields, uncoupled and coupled positions
+    pars = PARAMS_1D if dim == 1 else PARAMS_2D
+    ctxs = build_level_contexts(dim, [1, 2, 3], [1, 1, 1], pars)
+    samplers = make_level_samplers(ctxs, seed=7)
+
+    def functional(g, u):
+        K = fem.assemble_lognormal_diffusion(g, u)
+        p = fem.solve_spd(K, fem.assemble_load(g)[g.interior_vertices])
+        return p @ (fem.restrict_interior(fem.assemble_mass(g), g) @ p)
+
+    for ctx, s in zip(ctxs, samplers):
+        y = s.batch(1, 0, 6)
+        for n in range(6):
+            uf, uc = sample_fields(ctx, seed=7, m=1, n=n, use_qmc=True)
+            ref = functional(ctx.g_mesh, uf)
+            if ctx.coupled:
+                ref -= functional(ctx.g_coarse, uc)
+            scale = abs(functional(ctx.g_mesh, uf))
+            assert y[n] == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
+
+
+def test_sampler_output_does_not_depend_on_batch_split():
+    for dim, pars in ((1, PARAMS_1D), (2, PARAMS_2D)):
+        ctxs = build_level_contexts(dim, [2, 3], [1, 1], pars)
+        for s in make_level_samplers(ctxs, seed=2):
+            whole = s.batch(0, 0, 10)
+            split = np.concatenate([s.batch(0, 0, 3), s.batch(0, 3, 10)])
+            np.testing.assert_array_equal(split, whole)
+
+
+def test_one_diffusion_solver_per_g_mesh_built_at_set_up(monkeypatch):
+    built = []
+
+    class Counting(fem.DiffusionSolver):
+        def __init__(self, mesh):
+            built.append(mesh)
+            super().__init__(mesh)
+
+    monkeypatch.setattr(fem, "DiffusionSolver", Counting)
+    ctxs = build_level_contexts(1, [1, 2, 3], [1, 1, 1], PARAMS_1D)
+    samplers = make_level_samplers(ctxs, seed=0)
+    # the fine G mesh of position p is the coarse G mesh of position p + 1
+    assert [id(m) for m in built] == [id(c.g_mesh) for c in ctxs]
+    for s in samplers:
+        s.batch(0, 0, 2)
+    assert len(built) == len(ctxs)
+
+
 def test_shift_index_changes_qmc_draws():
     ctxs = build_level_contexts(1, [2], [1], PARAMS_1D)
     s = make_level_samplers(ctxs, seed=3)[0]

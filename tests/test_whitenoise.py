@@ -20,6 +20,7 @@ from haarmc.lowdisc import (
 from haarmc.mesh import Box, HaarMesh, build_uniform_mesh
 from haarmc.supermesh import build_supermesh, build_three_way_supermesh
 from haarmc.whitenoise import (
+    CouplingError,
     apply_correction,
     apply_noise_maps,
     assemble_b_L,
@@ -104,6 +105,23 @@ def test_layout_order_matches_reference_sort():
     entries.sort()
     np.testing.assert_array_equal(lay.levels, [e[2] for e in entries])
     np.testing.assert_array_equal(lay.shifts, [e[3] for e in entries])
+
+
+@pytest.mark.parametrize("dim,level", [(1, -1), (1, 0), (1, 6), (2, -1), (2, 0), (2, 3), (2, 4)])
+def test_transform_tables_match_per_cell_lookup(dim, level):
+    lay = build_layout(dim, level)
+    idx, coef = lay.transform_tables()
+    ref_idx, ref_coef = oracles.haar_transform_tables(lay)
+    assert idx.dtype == ref_idx.dtype and coef.dtype == ref_coef.dtype
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(coef, ref_coef)
+
+
+def test_layout_index_of_rejects_unknown_coefficients():
+    lay = build_layout(2, 2)
+    for l, n in [((3, 0), (0, 0)), ((-2, 0), (0, 0)), ((1, 1), (2, 0)), ((0, 0), (-1, 0))]:
+        with pytest.raises(KeyError):
+            lay.index_of(l, n)
 
 
 def test_layout_index_of_is_inverse():
@@ -385,3 +403,25 @@ def test_single_space_draw_has_no_coarse():
     assert draw.b_coarse is None
     assert draw.b_fine.shape == (mesh.n_vertices,)
     assert draw.wbar.shape == (haar.n_cells,)
+
+
+def _perturbed_coarse_case():
+    *_, tables, lay = three_way_case(2, 4, 2, 1, UNIT2)
+    tables.spaces[1].G[0, 0, 0] += 1e-3
+    return tables, lay
+
+
+def test_noise_map_raises_on_coupling_mismatch():
+    tables, lay = _perturbed_coarse_case()
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(lay.total_dim)
+    zc = rng.standard_normal((tables.n_cells, tables.dim + 1))
+    with pytest.raises(CouplingError):
+        apply_noise_maps(tables, lay, z, zc)
+
+
+def test_correction_raises_on_coupling_mismatch():
+    tables, _ = _perturbed_coarse_case()
+    zc = np.random.default_rng(4).standard_normal((tables.n_cells, tables.dim + 1))
+    with pytest.raises(CouplingError):
+        apply_correction(tables, sample_b_M_parts(tables, zc))
