@@ -346,10 +346,10 @@ def _dump_static(cfg: RunConfig, ctxs, out: Path, args) -> None:
 
 def _dump_noise(cfg: RunConfig, ctxs, out: Path, n: int) -> None:
     for ctx in ctxs:
-        draw = sample_noise(ctx, cfg.seed, 0, n)
-        _write_noise_csv(out / f"noise_l{ctx.position}.csv", draw.b_fine)
-        if draw.b_coarse is not None:
-            _write_noise_csv(out / f"noise_l{ctx.position}_coarse.csv", draw.b_coarse)
+        b_fine, b_coarse = sample_noise(ctx, cfg.seed, 0, n)
+        _write_noise_csv(out / f"noise_l{ctx.position}.csv", b_fine)
+        if b_coarse is not None:
+            _write_noise_csv(out / f"noise_l{ctx.position}_coarse.csv", b_coarse)
 
 
 def _dump_fields(cfg: RunConfig, ctxs, out: Path, n: int, threads: int) -> None:

@@ -18,7 +18,6 @@ __all__ = [
     "SobolGenerator",
     "DigitalShift",
     "RandomStream",
-    "sobol_point",
     "sobol_points",
     "shifted_point",
     "safe_uniform",
@@ -125,13 +124,8 @@ def _directions(dim: int) -> np.ndarray:
     return table[:, :dim]
 
 
-def sobol_point(gen: SobolGenerator, n: int) -> np.ndarray:
-    """n-th Sobol' point of gen, coordinates in [0, 1)."""
-    return gen.integers([n])[0].astype(np.float64) / _SCALE
-
-
 def sobol_points(gen: SobolGenerator, n) -> np.ndarray:
-    """Batch version of sobol_point for an array of indices."""
+    """Sobol' points of gen for an array of indices n, coordinates in [0, 1)."""
     return gen.integers(n).astype(np.float64) / _SCALE
 
 

@@ -15,12 +15,10 @@ __all__ = [
     "build_uniform_mesh",
     "build_hierarchy",
     "haar_cell_index",
-    "haar_cell_midpoint",
     "cell_volumes",
     "vertex_injection_map",
     "is_nested",
     "write_mesh",
-    "read_mesh",
 ]
 
 _COORD_TOL = 1e-12
@@ -236,22 +234,6 @@ def haar_cell_index(haar: HaarMesh, points: np.ndarray) -> np.ndarray:
     return flat
 
 
-def haar_cell_midpoint(haar: HaarMesh, k) -> np.ndarray:
-    """Physical midpoint(s) of cell(s) k."""
-    k = np.atleast_1d(np.asarray(k, dtype=np.int64))
-    if np.any(k < 0) or np.any(k >= haar.n_cells):
-        raise IndexError("Haar cell index out of range")
-    n = haar.cells_per_axis
-    axes = []
-    rem = k.copy()
-    for _ in range(haar.dim):
-        axes.append(rem % n)
-        rem //= n
-    axes = axes[::-1]  # first axis is the most significant digit
-    unit = np.column_stack([(a + 0.5) / n for a in axes])
-    return haar.box.from_unit(unit)
-
-
 def _match_rows(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Index of a row of `table` equal to each row of `keys`, -1 where none.
 
@@ -380,34 +362,3 @@ def write_mesh(mesh: SimplicialMesh, path) -> None:
             f.write(" ".join(repr(float(x)) for x in v) + "\n")
         for c in mesh.cells:
             f.write(" ".join(str(int(i)) for i in c) + "\n")
-
-
-def read_mesh(path) -> SimplicialMesh:
-    with open(path) as f:
-        dim, nv, nc = map(int, f.readline().split())
-        vertices = np.array(
-            [[float(t) for t in f.readline().split()] for _ in range(nv)]
-        )
-        cells = np.array([[int(t) for t in f.readline().split()] for _ in range(nc)])
-    verts = vertices.reshape(nv, dim)
-    # Boundary detection: facets incident to exactly one cell.
-    if dim == 1:
-        counts = np.zeros(nv, dtype=int)
-        for a, b in cells:
-            counts[a] += 1
-            counts[b] += 1
-        boundary = np.nonzero(counts == 1)[0]
-    else:
-        from collections import Counter
-
-        edges = Counter()
-        for tri in cells:
-            for i in range(3):
-                e = tuple(sorted((tri[i], tri[(i + 1) % 3])))
-                edges[e] += 1
-        bset = set()
-        for (a, b), cnt in edges.items():
-            if cnt == 1:
-                bset.update((a, b))
-        boundary = np.array(sorted(bset), dtype=np.int64)
-    return SimplicialMesh(dim, verts, cells, boundary)

@@ -8,6 +8,7 @@ by one shared noise event.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -33,11 +34,9 @@ from .supermesh import Supermesh, build_supermesh, build_three_way_supermesh
 from .whitenoise import (
     CellGeometryTables,
     HaarLayout,
-    WhiteNoiseDraw,
     apply_noise_maps,
     build_layout,
     build_tables,
-    sample_white_noise,
 )
 
 __all__ = [
@@ -68,7 +67,9 @@ class LevelContext:
     """Precomputed state for one hierarchy position.
 
     position 0 has no coarse half; every context owns its supermesh and the
-    tables built from it, wavelet layout, and prefactorized Helmholtz solves.
+    noise operator built from it, and shares its wavelet layout with every
+    context of the same Haar level and its prefactorized Helmholtz solves
+    with its neighbours.
     """
 
     position: int
@@ -122,9 +123,10 @@ def build_level_contexts(
     solves = {}
     for pos, (g, d, _) in enumerate(hier.levels):
         solves[pos] = fem.factorized_spd(fem.assemble_helmholtz(d, params.kappa))
+    layouts = {lvl: build_layout(dim, lvl) for lvl in set(haar_levels)}
     contexts = []
     for pos, (g, d, haar) in enumerate(hier.levels):
-        layout = build_layout(dim, haar.level)
+        layout = layouts[haar.level]
         inj = hier.injections[pos]
         if pos == 0:
             sm = build_supermesh(d, haar)
@@ -165,42 +167,50 @@ def build_level_contexts(
     return contexts
 
 
+def _qmc_driver(ctx: LevelContext, seed: int, m: int, use_qmc: bool):
+    """The Sobol' generator and the digital shift of replicate m that drive
+    ctx's QMC block; (None, None) selects plain Monte Carlo."""
+    if not use_qmc:
+        return None, None
+    qd = ctx.layout.qmc_dim
+    shift = DigitalShift.from_stream(
+        RandomStream(seed, ctx.position, m, 0, PURPOSE_SHIFT), qd
+    )
+    return SobolGenerator(qd), shift
+
+
 def _draw_inputs(
     ctx: LevelContext,
     seed: int,
     m: int,
     n0: int,
     n1: int,
-    use_qmc: bool,
     gen: Optional[SobolGenerator],
     shift: Optional[DigitalShift],
 ):
     """Coefficient and cell-block draws for samples n0..n1-1, honoring the
-    fixed per-sample order: QMC block, MC wavelet block, cell block."""
+    fixed per-sample order: QMC block, MC wavelet block, cell block.
+    gen=None draws the whole wavelet block from the sample's stream."""
     B = n1 - n0
     lay = ctx.layout
     z = np.empty((B, lay.total_dim))
     zc = np.empty((B, ctx.tables.cell_block_size))
-    if use_qmc:
+    q = 0
+    if gen is not None:
         pts = shifted_point(sobol_points(gen, np.arange(n0, n1)), shift)
         z[:, : lay.qmc_dim] = inverse_normal_cdf(safe_uniform(pts))
-        n_mc = lay.total_dim - lay.qmc_dim
-        for i in range(B):
-            stream = RandomStream(seed, ctx.position, m, n0 + i)
-            if n_mc:
-                z[i, lay.qmc_dim :] = normal_vector(stream, n_mc)
-            zc[i] = normal_vector(stream, zc.shape[1])
-    else:
-        for i in range(B):
-            stream = RandomStream(seed, ctx.position, m, n0 + i)
-            z[i] = normal_vector(stream, lay.total_dim)
-            zc[i] = normal_vector(stream, zc.shape[1])
+        q = lay.qmc_dim
+    for i in range(B):
+        stream = RandomStream(seed, ctx.position, m, n0 + i)
+        if q < lay.total_dim:
+            z[i, q:] = normal_vector(stream, lay.total_dim - q)
+        zc[i] = normal_vector(stream, zc.shape[1])
     return z, zc.reshape(B, ctx.tables.n_cells, ctx.tables.dim + 1)
 
 
 def _matern_batch(ctx: LevelContext, z: np.ndarray, z_cells: np.ndarray):
     """Gaussian fields on G for each draw: (fields_fine, fields_coarse)."""
-    bs, _, _ = apply_noise_maps(ctx.tables, ctx.layout, z, z_cells)
+    bs = apply_noise_maps(ctx.tables, ctx.layout, z, z_cells)
     u_f = fem.matern_field_from_noise(ctx.d_mesh, ctx.params, bs[0], ctx.solve_fine)
     out_f = u_f[:, ctx.inj_fine]
     if not ctx.coupled:
@@ -222,7 +232,6 @@ def _y_batch(
     m: int,
     n0: int,
     n1: int,
-    use_qmc: bool,
     gen,
     shift,
     fine,
@@ -232,7 +241,7 @@ def _y_batch(
     step = ctx.chunk_size
     for a in range(n0, n1, step):
         b = min(a + step, n1)
-        z, zc = _draw_inputs(ctx, seed, m, a, b, use_qmc, gen, shift)
+        z, zc = _draw_inputs(ctx, seed, m, a, b, gen, shift)
         u_f, u_c = _matern_batch(ctx, z, zc)
         y = _functional(fine, u_f, ctx.params.mean_shift)
         if ctx.coupled:
@@ -255,12 +264,8 @@ def make_level_samplers(
     """
     if cost_model not in ("dofs", "wall"):
         raise ValueError("cost_model must be 'dofs' or 'wall'")
-    gens: dict = {}
     solvers: dict = {}
-    samplers = []
-    for ctx in contexts:
-        samplers.append(_make_sampler(ctx, seed, use_qmc, cost_model, gens, solvers))
-    return samplers
+    return [_make_sampler(c, seed, use_qmc, cost_model, solvers) for c in contexts]
 
 
 def _diffusion(g_mesh, solvers: dict) -> fem.DiffusionSolver:
@@ -272,28 +277,24 @@ def _diffusion(g_mesh, solvers: dict) -> fem.DiffusionSolver:
     return solvers[key]
 
 
-def _make_sampler(ctx, seed, use_qmc, cost_model, gens, solvers):
-    qd = ctx.layout.qmc_dim
-    if use_qmc and qd not in gens:
-        gens[qd] = SobolGenerator(qd)
-    gen = gens.get(qd)
+def _make_sampler(ctx, seed, use_qmc, cost_model, solvers):
     fine = _diffusion(ctx.g_mesh, solvers)
     coarse = _diffusion(ctx.g_coarse, solvers) if ctx.coupled else None
     sampler = LevelSampler(level=ctx.position, cost=ctx.dof_cost, batch=None)
     timing = {"seconds": 0.0, "samples": 0}
+    # batches of one level may run on several pool threads at once
+    lock = threading.Lock()
 
     def batch(m: int, n0: int, n1: int) -> np.ndarray:
-        shift = None
-        if use_qmc:
-            shift = DigitalShift.from_stream(
-                RandomStream(seed, ctx.position, m, 0, PURPOSE_SHIFT), qd
-            )
+        gen, shift = _qmc_driver(ctx, seed, m, use_qmc)
         t0 = time.perf_counter()
-        y = _y_batch(ctx, seed, m, n0, n1, use_qmc, gen, shift, fine, coarse)
+        y = _y_batch(ctx, seed, m, n0, n1, gen, shift, fine, coarse)
         if cost_model == "wall":
-            timing["seconds"] += time.perf_counter() - t0
-            timing["samples"] += n1 - n0
-            sampler.cost = timing["seconds"] / timing["samples"]
+            elapsed = time.perf_counter() - t0
+            with lock:
+                timing["seconds"] += elapsed
+                timing["samples"] += n1 - n0
+                sampler.cost = timing["seconds"] / timing["samples"]
         return y
 
     sampler.batch = batch
@@ -304,19 +305,12 @@ def sample_field_batch(
     ctx: LevelContext, seed: int, m: int, n0: int, n1: int, use_qmc: bool = False
 ) -> np.ndarray:
     """Matern fields on G for samples n0..n1-1 (rows), mean shift applied."""
-    gen = SobolGenerator(ctx.layout.qmc_dim) if use_qmc else None
-    shift = (
-        DigitalShift.from_stream(
-            RandomStream(seed, ctx.position, m, 0, PURPOSE_SHIFT), ctx.layout.qmc_dim
-        )
-        if use_qmc
-        else None
-    )
+    gen, shift = _qmc_driver(ctx, seed, m, use_qmc)
     out = np.empty((n1 - n0, ctx.g_mesh.n_vertices))
     step = ctx.chunk_size
     for a in range(n0, n1, step):
         b = min(a + step, n1)
-        z, zc = _draw_inputs(ctx, seed, m, a, b, use_qmc, gen, shift)
+        z, zc = _draw_inputs(ctx, seed, m, a, b, gen, shift)
         u_f, _ = _matern_batch(ctx, z, zc)
         out[a - n0 : b - n0] = u_f + ctx.params.mean_shift
     return out
@@ -328,15 +322,8 @@ def sample_fields(ctx: LevelContext, seed: int, m: int, n: int, use_qmc: bool = 
     Returns (field_fine, field_coarse_or_None); used by the field dump
     command and the statistical validation tests.
     """
-    gen = SobolGenerator(ctx.layout.qmc_dim) if use_qmc else None
-    shift = (
-        DigitalShift.from_stream(
-            RandomStream(seed, ctx.position, m, 0, PURPOSE_SHIFT), ctx.layout.qmc_dim
-        )
-        if use_qmc
-        else None
-    )
-    z, zc = _draw_inputs(ctx, seed, m, n, n + 1, use_qmc, gen, shift)
+    gen, shift = _qmc_driver(ctx, seed, m, use_qmc)
+    z, zc = _draw_inputs(ctx, seed, m, n, n + 1, gen, shift)
     u_f, u_c = _matern_batch(ctx, z, zc)
     shift_c = ctx.params.mean_shift
     if ctx.coupled:
@@ -344,20 +331,12 @@ def sample_fields(ctx: LevelContext, seed: int, m: int, n: int, use_qmc: bool = 
     return u_f[0] + shift_c, None
 
 
-def sample_noise(
-    ctx: LevelContext, seed: int, m: int, n: int, use_qmc: bool = False
-) -> WhiteNoiseDraw:
-    """White-noise pairings for a single sample, for inspection dumps."""
-    gen = SobolGenerator(ctx.layout.qmc_dim) if use_qmc else None
-    shift = (
-        DigitalShift.from_stream(
-            RandomStream(seed, ctx.position, m, 0, PURPOSE_SHIFT), ctx.layout.qmc_dim
-        )
-        if use_qmc
-        else None
-    )
+def sample_noise(ctx: LevelContext, seed: int, m: int, n: int, use_qmc: bool = False):
+    """White-noise pairings for a single sample, for inspection dumps.
 
-    def stream_for(k):
-        return RandomStream(seed, ctx.position, m, k)
-
-    return sample_white_noise(ctx.tables, ctx.layout, gen, shift, n, stream_for)
+    Returns (b_fine, b_coarse_or_None).
+    """
+    gen, shift = _qmc_driver(ctx, seed, m, use_qmc)
+    z, zc = _draw_inputs(ctx, seed, m, n, n + 1, gen, shift)
+    bs = apply_noise_maps(ctx.tables, ctx.layout, z, zc)
+    return bs[0][0], bs[1][0] if ctx.coupled else None

@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 from scipy.special import erfc
 
 from haarmc.fem import assemble_mass
+from haarmc.lowdisc import _SCALE, SobolGenerator
 from haarmc.mesh import HaarMesh, SimplicialMesh, cell_volumes, vertex_injection_map
 from haarmc.supermesh import Supermesh
 
@@ -89,6 +90,58 @@ def haar_transform_tables(layout):
     return idx, coef
 
 
+def sobol_point(gen: SobolGenerator, n: int) -> np.ndarray:
+    """n-th Sobol' point of gen, coordinates in [0, 1)."""
+    return gen.integers([n])[0].astype(np.float64) / _SCALE
+
+
+def haar_cell_midpoint(haar: HaarMesh, k) -> np.ndarray:
+    """Physical midpoint(s) of cell(s) k."""
+    k = np.atleast_1d(np.asarray(k, dtype=np.int64))
+    if np.any(k < 0) or np.any(k >= haar.n_cells):
+        raise IndexError("Haar cell index out of range")
+    n = haar.cells_per_axis
+    axes = []
+    rem = k.copy()
+    for _ in range(haar.dim):
+        axes.append(rem % n)
+        rem //= n
+    axes = axes[::-1]  # first axis is the most significant digit
+    unit = np.column_stack([(a + 0.5) / n for a in axes])
+    return haar.box.from_unit(unit)
+
+
+def read_mesh(path) -> SimplicialMesh:
+    with open(path) as f:
+        dim, nv, nc = map(int, f.readline().split())
+        vertices = np.array(
+            [[float(t) for t in f.readline().split()] for _ in range(nv)]
+        )
+        cells = np.array([[int(t) for t in f.readline().split()] for _ in range(nc)])
+    verts = vertices.reshape(nv, dim)
+    # Boundary detection: facets incident to exactly one cell.
+    if dim == 1:
+        counts = np.zeros(nv, dtype=int)
+        for a, b in cells:
+            counts[a] += 1
+            counts[b] += 1
+        boundary = np.nonzero(counts == 1)[0]
+    else:
+        from collections import Counter
+
+        edges = Counter()
+        for tri in cells:
+            for i in range(3):
+                e = tuple(sorted((tri[i], tri[(i + 1) % 3])))
+                edges[e] += 1
+        bset = set()
+        for (a, b), cnt in edges.items():
+            if cnt == 1:
+                bset.update((a, b))
+        boundary = np.array(sorted(bset), dtype=np.int64)
+    return SimplicialMesh(dim, verts, cells, boundary)
+
+
 def barycentric(parent, points):
     """Barycentric coordinates of `points` (m, d) in one simplex (d+1, d).
 
@@ -150,6 +203,38 @@ def basis_integrals_per_haar_cell(mesh, parents, sm):
     return out
 
 
+def sample_b_M_parts(mesh, parents, sm, haar, z_cells):
+    """Per-Haar-cell partial pairings of white noise with the basis of
+    `mesh`, from the supermesh-cell-local draws z_cells (n_cells, dim+1).
+
+    Dense (n_vertices, n_haar); column k holds that cell's contribution to
+    b_M. The local factors sqrt(vol) R chol(local mass) are recomputed one
+    supermesh cell at a time, with `parents[e]` the cell of `mesh` that
+    contains supermesh cell e.
+    """
+    d = sm.dim
+    L = np.linalg.cholesky((np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2)))
+    zc = np.asarray(z_cells, dtype=float).reshape(len(sm), d + 1)
+    P = np.zeros((mesh.n_vertices, haar.n_cells))
+    for e in range(len(sm)):
+        cell = mesh.cells[parents[e]]
+        R = barycentric(mesh.vertices[cell], sm.simplices[e])
+        P[cell, sm.parent_haar[e]] += np.sqrt(sm.volumes[e]) * (R @ L) @ zc[e]
+    return P
+
+
+def apply_correction(mesh, parents, sm, haar, b_M_parts):
+    """Subtract, per Haar cell, the projection of the exact pairings onto
+    the constant function.
+
+    The cell averages w_k are the all-ones weighting of the partials divided
+    by the cell volume. Returns (b_R, w).
+    """
+    w = b_M_parts.sum(axis=0) / haar.cell_volume
+    I = basis_integrals_per_haar_cell(mesh, parents, sm)
+    return b_M_parts.sum(axis=1) - I @ w, w
+
+
 def normal_cdf(x):
     return 0.5 * erfc(-x / np.sqrt(2.0))
 
@@ -190,9 +275,9 @@ def noise_covariances(tables, layout):
     n_spaces = len(tables.spaces)
 
     zero_cells = np.zeros((td, tables.n_cells, tables.dim + 1))
-    rows_z, _, _ = apply_noise_maps(tables, layout, np.eye(td), zero_cells)
+    rows_z = apply_noise_maps(tables, layout, np.eye(td), zero_cells)
     eye_cells = np.eye(cb).reshape(cb, tables.n_cells, tables.dim + 1)
-    rows_c, _, _ = apply_noise_maps(tables, layout, np.zeros((cb, td)), eye_cells)
+    rows_c = apply_noise_maps(tables, layout, np.zeros((cb, td)), eye_cells)
 
     cov = [[None] * n_spaces for _ in range(n_spaces)]
     for i in range(n_spaces):

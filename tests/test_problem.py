@@ -1,9 +1,13 @@
 """Level contexts and sampler closures for the log-normal test problem."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 import pytest
 
-from haarmc import fem
+from haarmc import fem, problem
 from haarmc.fem import MaternParams
 from haarmc.mesh import vertex_injection_map
 from haarmc.problem import (
@@ -15,6 +19,7 @@ from haarmc.problem import (
     sample_fields,
     sample_noise,
 )
+from haarmc.whitenoise import apply_noise_maps
 
 PARAMS_2D = MaternParams.lognormal_matched(2, 0.25)
 PARAMS_1D = MaternParams.lognormal_matched(1, 0.25)
@@ -176,13 +181,30 @@ def test_field_batch_matches_singles():
 
 def test_sample_noise_deterministic():
     ctx = build_level_contexts(1, [2, 3], [1, 1], PARAMS_1D)[1]
-    d1 = sample_noise(ctx, seed=11, m=0, n=3)
-    d2 = sample_noise(ctx, seed=11, m=0, n=3)
-    np.testing.assert_array_equal(d1.b_fine, d2.b_fine)
-    np.testing.assert_array_equal(d1.b_coarse, d2.b_coarse)
-    np.testing.assert_array_equal(d1.w, d2.w)
-    assert d1.b_fine.shape == (ctx.d_mesh.n_vertices,)
-    assert d1.b_coarse.shape == (ctx.d_coarse.n_vertices,)
+    f1, c1 = sample_noise(ctx, seed=11, m=0, n=3)
+    f2, c2 = sample_noise(ctx, seed=11, m=0, n=3)
+    np.testing.assert_array_equal(f1, f2)
+    np.testing.assert_array_equal(c1, c2)
+    assert f1.shape == (ctx.d_mesh.n_vertices,)
+    assert c1.shape == (ctx.d_coarse.n_vertices,)
+
+
+def test_sample_noise_matches_sampler_draw_path():
+    # the dumped pairings are the operator applied to the sampler's inputs
+    ctx = build_level_contexts(2, [1, 2], [1, 1], PARAMS_2D)[1]
+    gen, shift = problem._qmc_driver(ctx, 4, 2, True)
+    z, zc = problem._draw_inputs(ctx, 4, 2, 0, 3, gen, shift)
+    bs = apply_noise_maps(ctx.tables, ctx.layout, z, zc)
+    for n in range(3):
+        f, c = sample_noise(ctx, seed=4, m=2, n=n, use_qmc=True)
+        np.testing.assert_array_equal(f, bs[0][n])
+        np.testing.assert_array_equal(c, bs[1][n])
+
+
+def test_contexts_share_one_layout_per_haar_level():
+    ctxs = build_level_contexts(2, [1, 2, 3], [0, 1, 1], PARAMS_2D)
+    assert ctxs[1].layout is ctxs[2].layout
+    assert ctxs[0].layout is not ctxs[1].layout
 
 
 def test_wall_cost_model():
@@ -193,6 +215,34 @@ def test_wall_cost_model():
     assert s.cost != dof and s.cost > 0
     with pytest.raises(ValueError):
         make_level_samplers(ctxs, seed=1, cost_model="cpu")
+
+
+def test_wall_cost_updates_are_not_lost_across_threads(monkeypatch):
+    # each batch reads one tick of a per-thread clock, so the running mean
+    # is exactly calls / samples unless an update is lost
+    ticks = threading.local()
+
+    def clock():
+        ticks.t = getattr(ticks, "t", 0.0) + 1.0
+        return ticks.t
+
+    monkeypatch.setattr(problem.time, "perf_counter", clock)
+    monkeypatch.setattr(problem, "_y_batch", lambda ctx, seed, m, n0, n1, *a: np.zeros(n1 - n0))
+    ctxs = build_level_contexts(1, [2], [1], PARAMS_1D)
+    s = make_level_samplers(ctxs, seed=1, cost_model="wall")[0]
+    sizes = [1 + (i % 3) for i in range(20000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(s.batch, 0, 0, k) for k in sizes]
+            done, pending = wait(futures, timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not pending
+    for f in done:
+        f.result()
+    assert s.cost == len(sizes) / sum(sizes)
 
 
 def test_default_boxes():

@@ -3,7 +3,9 @@
 The sampling map from Gaussian inputs to pairings b is linear, so its
 covariance can be computed exactly by pushing basis vectors through it; the
 central checks below compare that propagated covariance against mass
-matrices assembled by an independent dense oracle. No statistics involved.
+matrices assembled by an independent dense oracle, and the tail correction
+against a per-cell oracle that rebuilds the local factors from the meshes.
+No statistics involved, apart from the marginals of the coefficient draws.
 """
 
 import itertools
@@ -11,27 +13,18 @@ import itertools
 import numpy as np
 import pytest
 
-from haarmc.lowdisc import (
-    PURPOSE_SHIFT,
-    DigitalShift,
-    RandomStream,
-    SobolGenerator,
-)
+from haarmc import whitenoise
+from haarmc.fem import MaternParams
+from haarmc.lowdisc import inverse_normal_cdf, safe_uniform, shifted_point, sobol_points
 from haarmc.mesh import Box, HaarMesh, build_uniform_mesh
+from haarmc.problem import _draw_inputs, _qmc_driver, build_level_contexts, sample_noise
 from haarmc.supermesh import build_supermesh, build_three_way_supermesh
 from haarmc.whitenoise import (
     CouplingError,
-    apply_correction,
     apply_noise_maps,
-    assemble_b_L,
     build_layout,
     build_tables,
-    draw_hybrid_coefficients,
-    haar_cell_values,
     qmc_block_size,
-    sample_b_M,
-    sample_b_M_parts,
-    sample_white_noise,
 )
 import oracles
 
@@ -39,6 +32,8 @@ UNIT1 = Box((0.0,), (1.0,))
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
 BIG1 = Box((-1.0,), (1.0,))
 BIG2 = Box((-1.0, -1.0), (1.0, 1.0))
+PARAMS_1D = MaternParams.lognormal_matched(1, 0.25)
+PARAMS_2D = MaternParams.lognormal_matched(2, 0.25)
 
 
 def two_way_case(dim, n, level, box):
@@ -109,12 +104,13 @@ def test_layout_order_matches_reference_sort():
 
 @pytest.mark.parametrize("dim,level", [(1, -1), (1, 0), (1, 6), (2, -1), (2, 0), (2, 3), (2, 4)])
 def test_transform_tables_match_per_cell_lookup(dim, level):
+    # the layout's Haar transform against one dict lookup per cell and level vector
     lay = build_layout(dim, level)
-    idx, coef = lay.transform_tables()
     ref_idx, ref_coef = oracles.haar_transform_tables(lay)
-    assert idx.dtype == ref_idx.dtype and coef.dtype == ref_coef.dtype
-    np.testing.assert_array_equal(idx, ref_idx)
-    np.testing.assert_array_equal(coef, ref_coef)
+    ref = np.zeros((ref_idx.shape[0], lay.total_dim))
+    np.put_along_axis(ref, ref_idx, ref_coef, axis=1)
+    assert lay.H.dtype == ref_coef.dtype and lay.H.nnz == ref_idx.size
+    np.testing.assert_array_equal(lay.H.toarray(), ref)
 
 
 def test_layout_index_of_rejects_unknown_coefficients():
@@ -135,83 +131,75 @@ def test_layout_index_of_is_inverse():
 
 def test_values_constant_level():
     lay = build_layout(1, -1)
-    haar = HaarMesh(-1, 1, UNIT1)
-    np.testing.assert_allclose(haar_cell_values(lay, haar, np.array([3.0])), [3.0])
+    np.testing.assert_allclose(lay.H @ np.array([3.0]), [3.0])
 
 
 def test_values_1d_level0():
     lay = build_layout(1, 0)
-    haar = HaarMesh(0, 1, UNIT1)
-    out = haar_cell_values(lay, haar, np.array([2.0, 5.0]))
+    out = lay.H @ np.array([2.0, 5.0])
     np.testing.assert_allclose(out, [7.0, -3.0])
     a, b = 0.7, -1.3
-    np.testing.assert_allclose(
-        haar_cell_values(lay, haar, np.array([a, b])), [a + b, a - b], atol=1e-14
-    )
+    np.testing.assert_allclose(lay.H @ np.array([a, b]), [a + b, a - b], atol=1e-14)
 
 
 def test_values_box_jacobian():
-    # doubling the box halves the L2 normalization of every wavelet
-    lay = build_layout(1, 0)
-    unit = haar_cell_values(lay, HaarMesh(0, 1, UNIT1), np.array([2.0, 5.0]))
-    big = haar_cell_values(lay, HaarMesh(0, 1, BIG1), np.array([2.0, 5.0]))
-    np.testing.assert_allclose(big, unit / np.sqrt(2.0))
+    # doubling the box halves the L2 normalization of every wavelet, while
+    # the basis integrals over each Haar cell double
+    *_, t_unit, lay = two_way_case(1, 4, 0, UNIT1)
+    *_, t_big, _ = two_way_case(1, 4, 0, BIG1)
+    z = np.array([2.0, 5.0])
+    b_unit = apply_noise_maps(t_unit, lay, z, np.zeros((t_unit.n_cells, 2)))[0]
+    b_big = apply_noise_maps(t_big, lay, z, np.zeros((t_big.n_cells, 2)))[0]
+    np.testing.assert_allclose(b_big, 2.0 * b_unit / np.sqrt(2.0), atol=1e-14)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("level", [-1, 0, 1, 2, 3])
 def test_transform_orthogonality(dim, level):
-    box = BIG2 if dim == 2 else BIG1
     lay = build_layout(dim, level)
-    haar = HaarMesh(level, dim, box)
-    T = haar_cell_values(lay, haar, np.eye(lay.total_dim)).T
-    expect = 2.0 ** (dim * (level + 1)) / box.volume
+    T = lay.H.toarray()
+    expect = 2.0 ** (dim * (level + 1))
     np.testing.assert_allclose(
-        T @ T.T, expect * np.eye(haar.n_cells), atol=1e-10 * expect
+        T @ T.T, expect * np.eye(T.shape[0]), atol=1e-10 * expect
     )
 
 
 def test_values_length_mismatch():
-    lay = build_layout(1, 1)
+    *_, tables, lay = two_way_case(1, 4, 1, UNIT1)
     with pytest.raises(ValueError):
-        haar_cell_values(lay, HaarMesh(1, 1, UNIT1), np.zeros(3))
+        apply_noise_maps(tables, lay, np.zeros(3), np.zeros((tables.n_cells, 2)))
 
 
 # ------------------------------------------------------ hybrid coefficients
 
+def _coefficients(ctx, seed, n0, n1):
+    gen, shift = _qmc_driver(ctx, seed, 0, True)
+    return _draw_inputs(ctx, seed, 0, n0, n1, gen, shift)[0]
+
 
 def test_hybrid_coefficients_deterministic():
-    lay = build_layout(2, 2)
-    gen = SobolGenerator(lay.qmc_dim)
-    shift = DigitalShift.from_stream(RandomStream(3, purpose=PURPOSE_SHIFT), lay.qmc_dim)
-
-    def stream_for(n):
-        return RandomStream(3, 0, 0, n)
-
-    z1 = draw_hybrid_coefficients(lay, gen, shift, 5, stream_for)
-    z2 = draw_hybrid_coefficients(lay, gen, shift, 5, stream_for)
+    ctx = build_level_contexts(2, [1], [2], PARAMS_2D)[0]
+    z1 = _coefficients(ctx, 3, 5, 6)
+    z2 = _coefficients(ctx, 3, 5, 6)
     np.testing.assert_array_equal(z1, z2)
-    assert z1.shape == (64,)
+    assert z1.shape == (1, 64)
 
 
 def test_hybrid_coefficients_no_mc_block_in_1d():
-    lay = build_layout(1, 3)
-    gen = SobolGenerator(lay.qmc_dim)
-    shift = DigitalShift.from_stream(RandomStream(1, purpose=PURPOSE_SHIFT), lay.qmc_dim)
-    z = draw_hybrid_coefficients(lay, gen, shift, 2, stream_for=None)
-    assert z.shape == (lay.total_dim,)
+    # every coefficient is the shifted Sobol' point's inverse CDF
+    ctx = build_level_contexts(1, [1], [3], PARAMS_1D)[0]
+    lay = ctx.layout
+    assert lay.qmc_dim == lay.total_dim
+    z = _coefficients(ctx, 1, 2, 3)[0]
+    gen, shift = _qmc_driver(ctx, 1, 0, True)
+    pt = shifted_point(sobol_points(gen, [2]), shift)
+    np.testing.assert_array_equal(z, inverse_normal_cdf(safe_uniform(pt))[0])
     assert np.all(np.isfinite(z))
 
 
 def test_hybrid_coefficients_marginals():
-    lay = build_layout(2, 1)
-    gen = SobolGenerator(lay.qmc_dim)
-    shift = DigitalShift.from_stream(RandomStream(11, purpose=PURPOSE_SHIFT), lay.qmc_dim)
-
-    def stream_for(n):
-        return RandomStream(11, 0, 0, n)
-
-    z = draw_hybrid_coefficients(lay, gen, shift, np.arange(2**12), stream_for)
+    ctx = build_level_contexts(2, [1], [1], PARAMS_2D)[0]
+    z = _coefficients(ctx, 11, 0, 2**12)
     n = z.shape[0]
     assert np.max(np.abs(z.mean(axis=0))) < 4.0 / np.sqrt(n)
     assert np.max(np.abs(z.var(axis=0, ddof=1) - 1.0)) < 4.0 * np.sqrt(2.0 / n)
@@ -221,11 +209,14 @@ def test_hybrid_coefficients_marginals():
 
 
 def test_assemble_b_L_zero_and_constant():
+    # the truncated part alone: zero coefficients pair to zero, the constant
+    # wavelet with value 1 to the basis integrals
     mesh, haar, sm, tables, lay = two_way_case(1, 8, 1, UNIT1)
-    nh = haar.n_cells
-    zero = assemble_b_L(tables, np.zeros(nh))[0]
+    zero_cells = np.zeros((tables.n_cells, 2))
+    zero = apply_noise_maps(tables, lay, np.zeros(lay.total_dim), zero_cells)[0]
     np.testing.assert_array_equal(zero, np.zeros(mesh.n_vertices))
-    ones = assemble_b_L(tables, np.ones(nh))[0]
+    e0 = np.eye(lay.total_dim)[0]
+    ones = apply_noise_maps(tables, lay, e0, zero_cells)[0]
     np.testing.assert_allclose(ones, oracles.mass_matrix(mesh).sum(axis=1), atol=1e-14)
 
 
@@ -241,11 +232,11 @@ def test_I_mat_columns_sum_to_basis_integrals():
 
 
 def test_truncated_operator_covariance():
-    # (assemble_b_L o haar_cell_values) as a matrix B obeys
+    # the map z -> b with zero cell draws, as a matrix B, obeys
     # B B^T = sum_k I^k (I^k)^T / cell volume
     mesh, haar, sm, tables, lay = two_way_case(1, 20, 2, BIG1)
-    T = haar_cell_values(lay, haar, np.eye(lay.total_dim))  # rows: z basis
-    B = assemble_b_L(tables, T)[0]  # (n_dofs, total_dim)
+    td = lay.total_dim
+    B = apply_noise_maps(tables, lay, np.eye(td), np.zeros((td, tables.n_cells, 2)))[0].T
     I = tables.spaces[0].I_mat.toarray()
     C_L = (I / haar.cell_volume) @ I.T
     np.testing.assert_allclose(B @ B.T, C_L, atol=1e-12)
@@ -253,18 +244,17 @@ def test_truncated_operator_covariance():
 
 def test_sample_b_M_zero_draws():
     mesh, haar, sm, tables, lay = two_way_case(1, 4, 0, UNIT1)
-    b, sums = sample_b_M(tables, np.zeros((tables.n_cells, tables.dim + 1)))
-    np.testing.assert_array_equal(b[0], np.zeros(mesh.n_vertices))
-    np.testing.assert_array_equal(sums[0], np.zeros(haar.n_cells))
+    zc = np.zeros((tables.n_cells, tables.dim + 1))
+    b = apply_noise_maps(tables, lay, np.zeros(lay.total_dim), zc)[0]
+    np.testing.assert_array_equal(b, np.zeros(mesh.n_vertices))
+    np.testing.assert_array_equal(tables.S @ zc.ravel(), np.zeros(haar.n_cells))
 
 
 def test_sample_b_M_exact_covariance():
+    # the local factors alone reproduce the mass matrix
     mesh, haar, sm, tables, lay = two_way_case(2, 3, 0, UNIT2)
-    cb = tables.cell_block_size
-    eye = np.eye(cb).reshape(cb, tables.n_cells, tables.dim + 1)
-    rows, _ = sample_b_M(tables, eye)
-    cov = rows[0].T @ rows[0]
-    np.testing.assert_allclose(cov, oracles.mass_matrix(mesh), atol=1e-12)
+    G = tables.spaces[0].G_map.toarray()
+    np.testing.assert_allclose(G @ G.T, oracles.mass_matrix(mesh), atol=1e-12)
 
 
 def test_sample_b_M_coupled_identical_spaces():
@@ -272,9 +262,11 @@ def test_sample_b_M_coupled_identical_spaces():
     haar = HaarMesh(0, 1, UNIT1)
     sm = build_three_way_supermesh(fine, fine, haar)
     tables = build_tables(fine, haar, sm, fine)
+    lay = build_layout(1, 0)
     rng = np.random.default_rng(0)
-    z = rng.standard_normal((tables.n_cells, tables.dim + 1))
-    b, _ = sample_b_M(tables, z)
+    z = rng.standard_normal(lay.total_dim)
+    zc = rng.standard_normal((tables.n_cells, tables.dim + 1))
+    b = apply_noise_maps(tables, lay, z, zc)
     np.testing.assert_allclose(b[0], b[1], atol=1e-14)
 
 
@@ -286,29 +278,28 @@ def test_constant_pairing_has_zero_correction():
     L = np.linalg.cholesky((np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2)))
     z_cells = np.sqrt(sm.volumes)[:, None] * L.T.sum(axis=1)[None, :]
 
-    b, _ = sample_b_M(tables, z_cells)
-    np.testing.assert_allclose(b[0], oracles.mass_matrix(mesh).sum(axis=1), atol=1e-13)
+    b = tables.spaces[0].G_map @ z_cells.ravel()
+    np.testing.assert_allclose(b, oracles.mass_matrix(mesh).sum(axis=1), atol=1e-13)
 
-    parts = sample_b_M_parts(tables, z_cells)
-    b_R, w = apply_correction(tables, parts)
+    parts = oracles.sample_b_M_parts(mesh, sm.parent_a, sm, haar, z_cells)
+    b_R, w = oracles.apply_correction(mesh, sm.parent_a, sm, haar, parts)
     np.testing.assert_allclose(w, np.ones(haar.n_cells), atol=1e-12)
-    np.testing.assert_allclose(b_R[0], np.zeros(mesh.n_vertices), atol=1e-13)
+    np.testing.assert_allclose(b_R, np.zeros(mesh.n_vertices), atol=1e-13)
 
     # the full map agrees: truncated part 0 plus this cell block gives 0
-    out, _, _ = apply_noise_maps(tables, lay, np.zeros(lay.total_dim), z_cells)
+    out = apply_noise_maps(tables, lay, np.zeros(lay.total_dim), z_cells)
     np.testing.assert_allclose(out[0], np.zeros(mesh.n_vertices), atol=1e-13)
 
 
-def correction_map(tables):
-    """Dense matrix of the cell-block -> b_R linear map, one space."""
-    cb = tables.cell_block_size
-    cols = np.empty((tables.spaces[0].n_dofs, cb))
+def correction_map(mesh, sm, haar):
+    """Dense matrix of the cell-block -> b_R linear map, per-cell oracle."""
+    cb = len(sm) * (sm.dim + 1)
+    cols = np.empty((mesh.n_vertices, cb))
     for j in range(cb):
         z = np.zeros(cb)
         z[j] = 1.0
-        parts = sample_b_M_parts(tables, z)
-        b_R, _ = apply_correction(tables, parts)
-        cols[:, j] = b_R[0]
+        parts = oracles.sample_b_M_parts(mesh, sm.parent_a, sm, haar, z)
+        cols[:, j], _ = oracles.apply_correction(mesh, sm.parent_a, sm, haar, parts)
     return cols
 
 
@@ -316,10 +307,10 @@ def correction_map(tables):
 def test_correction_covariance_per_cell(dim, n, level):
     box = UNIT2 if dim == 2 else UNIT1
     mesh, haar, sm, tables, lay = two_way_case(dim, n, level, box)
-    A = correction_map(tables)
+    A = correction_map(mesh, sm, haar)
     I = oracles.basis_integrals_per_haar_cell(mesh, sm.parent_a, sm)
     for k in range(haar.n_cells):
-        mask = np.repeat(tables.haar_of_cell == k, dim + 1)
+        mask = np.repeat(sm.parent_haar == k, dim + 1)
         cov_k = A[:, mask] @ A[:, mask].T
         sel = sm.parent_haar == k
         M_k = oracles.quadrature_mass(
@@ -330,6 +321,15 @@ def test_correction_covariance_per_cell(dim, n, level):
         np.testing.assert_allclose(cov_k, expect, atol=1e-12)
         assert np.linalg.eigvalsh(cov_k).min() >= -1e-10
         np.testing.assert_allclose(cov_k @ np.ones(mesh.n_vertices), 0.0, atol=1e-12)
+
+
+def test_operator_correction_matches_per_cell_oracle():
+    # with zero coefficients the operator is the cell-block map to b_R
+    mesh, haar, sm, tables, lay = two_way_case(2, 3, 1, UNIT2)
+    cb = tables.cell_block_size
+    eye = np.eye(cb).reshape(cb, tables.n_cells, tables.dim + 1)
+    rows = apply_noise_maps(tables, lay, np.zeros((cb, lay.total_dim)), eye)[0]
+    np.testing.assert_allclose(rows.T, correction_map(mesh, sm, haar), atol=1e-14)
 
 
 # ------------------------------------------------- full covariance identity
@@ -364,8 +364,7 @@ def test_coupled_covariance_identity(dim, n_fine, n_coarse, level):
 
 def test_level_minus_one_truncated_rank_one():
     mesh, haar, sm, tables, lay = two_way_case(1, 6, -1, UNIT1)
-    T = haar_cell_values(lay, haar, np.eye(1))
-    B = assemble_b_L(tables, T)[0]
+    B = apply_noise_maps(tables, lay, np.eye(1), np.zeros((1, tables.n_cells, 2)))[0].T
     integrals = oracles.mass_matrix(mesh).sum(axis=1)
     np.testing.assert_allclose(B @ B.T, np.outer(integrals, integrals), atol=1e-13)
 
@@ -374,54 +373,55 @@ def test_level_minus_one_truncated_rank_one():
 
 
 def test_sample_white_noise_deterministic():
-    fine, coarse, haar, sm, tables, lay = three_way_case(2, 4, 2, 1, BIG2)
-    gen = SobolGenerator(lay.qmc_dim)
-    shift = DigitalShift.from_stream(RandomStream(5, 1, 0, 0, PURPOSE_SHIFT), lay.qmc_dim)
+    ctx = build_level_contexts(2, [1, 2], [1, 1], PARAMS_2D)[1]
+    f1, c1 = sample_noise(ctx, 5, 0, 3, use_qmc=True)
+    f2, c2 = sample_noise(ctx, 5, 0, 3, use_qmc=True)
+    np.testing.assert_array_equal(f1, f2)
+    np.testing.assert_array_equal(c1, c2)
+    assert np.all(np.isfinite(f1)) and np.all(np.isfinite(c1))
 
-    def stream_for(n):
-        return RandomStream(5, 1, 0, n)
-
-    d1 = sample_white_noise(tables, lay, gen, shift, 3, stream_for)
-    d2 = sample_white_noise(tables, lay, gen, shift, 3, stream_for)
-    np.testing.assert_array_equal(d1.b_fine, d2.b_fine)
-    np.testing.assert_array_equal(d1.b_coarse, d2.b_coarse)
-    np.testing.assert_array_equal(d1.wbar, d2.wbar)
-    assert np.all(np.isfinite(d1.b_fine)) and np.all(np.isfinite(d1.b_coarse))
-
-    mc = sample_white_noise(tables, lay, None, None, 3, stream_for)
-    assert not np.array_equal(mc.b_fine, d1.b_fine)
-    assert mc.b_coarse.shape == d1.b_coarse.shape
+    mc_f, mc_c = sample_noise(ctx, 5, 0, 3)
+    assert not np.array_equal(mc_f, f1)
+    assert mc_c.shape == c1.shape
 
 
 def test_single_space_draw_has_no_coarse():
-    mesh, haar, sm, tables, lay = two_way_case(1, 8, 1, UNIT1)
-
-    def stream_for(n):
-        return RandomStream(2, 0, 0, n)
-
-    draw = sample_white_noise(tables, lay, None, None, 0, stream_for)
-    assert draw.b_coarse is None
-    assert draw.b_fine.shape == (mesh.n_vertices,)
-    assert draw.wbar.shape == (haar.n_cells,)
+    ctx = build_level_contexts(1, [2], [1], PARAMS_1D)[0]
+    b_fine, b_coarse = sample_noise(ctx, 2, 0, 0)
+    assert b_coarse is None
+    assert b_fine.shape == (ctx.d_mesh.n_vertices,)
 
 
-def _perturbed_coarse_case():
-    *_, tables, lay = three_way_case(2, 4, 2, 1, UNIT2)
-    tables.spaces[1].G[0, 0, 0] += 1e-3
-    return tables, lay
+# ------------------------------------------------------- coupling check
 
 
-def test_noise_map_raises_on_coupling_mismatch():
-    tables, lay = _perturbed_coarse_case()
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal(lay.total_dim)
-    zc = rng.standard_normal((tables.n_cells, tables.dim + 1))
+def test_build_tables_raises_on_coupling_mismatch(monkeypatch):
+    # perturb the coarse space's local factors before build_tables checks them
+    calls = []
+    local_factors = whitenoise._local_factors
+
+    def perturbed(*args):
+        dofs, R, G = local_factors(*args)
+        calls.append(len(calls))
+        if len(calls) == 2:
+            G[0, 0, 0] += 1e-3
+        return dofs, R, G
+
+    monkeypatch.setattr(whitenoise, "_local_factors", perturbed)
     with pytest.raises(CouplingError):
-        apply_noise_maps(tables, lay, z, zc)
+        three_way_case(2, 4, 2, 1, UNIT2)
+    assert len(calls) == 2
 
 
-def test_correction_raises_on_coupling_mismatch():
-    tables, _ = _perturbed_coarse_case()
-    zc = np.random.default_rng(4).standard_normal((tables.n_cells, tables.dim + 1))
-    with pytest.raises(CouplingError):
-        apply_correction(tables, sample_b_M_parts(tables, zc))
+@pytest.mark.parametrize(
+    "dim,mesh_levels,haar_level", [(1, [1, 2, 3, 4, 5, 6], 6), (2, [1, 2, 3, 4], 3)]
+)
+def test_coupling_check_passes_on_default_hierarchies(dim, mesh_levels, haar_level):
+    pars = PARAMS_1D if dim == 1 else PARAMS_2D
+    ctxs = build_level_contexts(dim, mesh_levels, [haar_level] * len(mesh_levels), pars)
+    for ctx in ctxs:
+        t = ctx.tables
+        shared = np.asarray(t.S.sum(axis=0)).ravel() * t.haar.cell_volume
+        for st in t.spaces:
+            local = np.asarray(st.G_map.sum(axis=0)).ravel()
+            assert np.max(np.abs(local - shared)) <= whitenoise.COUPLING_TOL
