@@ -2,8 +2,9 @@
 
 Matrices are assembled over all vertices; homogeneous Dirichlet conditions
 are applied by restricting to interior rows and columns, which keeps the
-systems symmetric positive definite. Every system is solved directly (sparse
-LU, or a tridiagonal sweep in 1D) and every solve checks its residual.
+systems symmetric positive definite. Every system, in 1D and 2D, is solved
+by one banded Cholesky factorisation (LAPACK pbtrf/pbtrs) in reverse
+Cuthill-McKee order, and every solve checks its residual.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.special import gamma as _gamma
 
 from .mesh import SimplicialMesh, cell_volumes
@@ -180,16 +182,59 @@ def embed_interior(x: np.ndarray, mesh: SimplicialMesh) -> np.ndarray:
     return out
 
 
+class _BandCholesky:
+    """Cholesky factorisations of SPD matrices with one symmetric sparsity
+    pattern (`indptr`, `indices`, n).
+
+    The unknowns are ordered by reverse Cuthill-McKee, which gives band
+    width 1 on any 1D numbering, and the upper triangle is stored in LAPACK
+    band layout: each upper entry of the pattern keeps its flat index into
+    an (n, w + 1) C-order buffer, whose transpose is the Fortran-contiguous
+    `ab[w + i - j, j]`. Nothing is mutated after construction, so threads
+    may share one instance.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, n: int):
+        pattern = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+        self.order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        rank = np.empty(n, dtype=np.int64)
+        rank[self.order] = np.arange(n)
+        i = rank[np.repeat(np.arange(n), np.diff(indptr))]
+        j = rank[indices]
+        self.w = int(np.max(np.abs(i - j), initial=0))
+        self.up = np.flatnonzero(i <= j)
+        self.flat = j[self.up] * (self.w + 1) + self.w + i[self.up] - j[self.up]
+        self.n = n
+
+    def factor(self, data: np.ndarray) -> np.ndarray:
+        """Band Cholesky factor of the matrix with this pattern and `data`."""
+        ab = np.zeros((self.n, self.w + 1))
+        ab.flat[self.flat] = data[self.up]
+        c, info = dpbtrf(ab.T, lower=0, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        return c
+
+    def solve(self, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Solve with the factor c; b is a vector or an (n, k) matrix."""
+        x, _ = dpbtrs(c, b[self.order], overwrite_b=1)
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
+
+
 def factorized_spd(A: sp.spmatrix) -> Callable:
-    """Return solve(b) for the SPD matrix A, factorized once (sparse LU);
-    b may be a vector or a matrix of right-hand sides (columns). Every solve
+    """Return solve(b) for the SPD matrix A, factorized once (banded
+    Cholesky); b may be a vector or a matrix of right-hand sides (columns).
+    Raises np.linalg.LinAlgError if A is not positive definite. Every solve
     checks its residual."""
-    A = A.tocsc()
-    lu = spla.splu(A)
+    A = A.tocsr()
+    band = _BandCholesky(A.indptr, A.indices, A.shape[0])
+    c = band.factor(A.data)
 
     def solve(b):
         b = np.asarray(b, dtype=float)
-        x = lu.solve(b)
+        x = band.solve(c, b)
         _check_residual(A, x, b)
         return x
 
@@ -209,13 +254,6 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     return factorized_spd(A)(b)
 
 
-# Symmetric-mode sparse LU for SPD systems: minimum degree on A + A^T and
-# the diagonal as pivot, which keeps the fill of a Cholesky factor.
-_SPD_SPLU = dict(
-    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-)
-
-
 class DiffusionSolver:
     """Batched solves of K(u) p = f on one mesh: K(u) the interior
     stiffness matrix with coefficient exp(u + shift) at cell midpoints (the
@@ -227,10 +265,10 @@ class DiffusionSolver:
     grad(phi_i) . grad(phi_j) with the boundary rows and columns dropped.
     A chunk of B samples then assembles all its matrices with one product,
     weights @ W, in the arithmetic of assemble_lognormal_diffusion, and
-    solves them with one Thomas sweep vectorised over the batch in 1D
-    (K is SPD and tridiagonal in vertex order, so no pivoting is needed),
-    or with one symmetric-mode sparse LU per sample in 2D. The interior mass
-    matrix has the same pattern and is kept as CSC data for `norm_sq`.
+    factors and solves each sample's matrix with the banded Cholesky of
+    factorized_spd, whose ordering and band layout are also built once.
+    The interior mass matrix has the same pattern and is kept as CSC data
+    for `norm_sq`.
     Nothing is mutated after construction, so threads may share a solver.
     """
 
@@ -249,17 +287,7 @@ class DiffusionSolver:
         cols = pos[np.tile(mesh.cells, (1, d1))]
         keep = (rows >= 0) & (cols >= 0)
         keys = cols[keep] * n + rows[keep]  # CSC order: by column, then row
-        perm = None
-        if mesh.dim == 1:
-            perm = pos[interior[np.argsort(mesh.vertices[interior, 0], kind="stable")]]
-            # neighbours in vertex order are always in the pattern, so a
-            # boundary vertex inside the interval gives an explicit zero
-            links = np.concatenate([perm[:-1] * n + perm[1:], perm[1:] * n + perm[:-1]])
-            pattern = np.unique(np.concatenate([keys, links]))
-            if pattern.size != 3 * n - 2:
-                raise ValueError("1D interior matrix is not tridiagonal in vertex order")
-        else:
-            pattern = np.unique(keys)
+        pattern = np.unique(keys)
         nnz = pattern.size
         slot = np.searchsorted(pattern, keys)
         cell_ptr = np.zeros(mesh.n_cells + 1, dtype=np.int64)
@@ -277,10 +305,7 @@ class DiffusionSolver:
             slot, weights=mass.reshape(len(keep), -1)[keep], minlength=nnz
         )
         self.load = assemble_load(mesh)[interior]
-        self._perm = perm
-        if perm is not None:
-            self._diag = np.searchsorted(pattern, perm * n + perm)
-            self._off = np.searchsorted(pattern, perm[:-1] * n + perm[1:])
+        self._band = _BandCholesky(self.indptr, self.indices, n)
 
     def matrix_data(self, u: np.ndarray, shift: float = 0.0) -> np.ndarray:
         """CSC data of K for each row of nodal values u, shape (B, nnz)."""
@@ -289,23 +314,16 @@ class DiffusionSolver:
             raise ValueError("diffusion coefficient is not finite")
         return np.asarray((self._vols * coeff) @ self.W)
 
-    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        """The CSC matrix with this pattern and one row of data."""
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-
     def solve(self, u: np.ndarray, shift: float = 0.0) -> np.ndarray:
         """Interior solutions p, shape (B, n), for rows of nodal values u."""
         u = np.asarray(u, dtype=float)
         if u.ndim != 2:
             raise ValueError("u must have shape (batch, n_vertices)")
         data = self.matrix_data(u, shift)
-        if self._perm is not None:
-            p = self._thomas(data)
-        else:
-            data = np.ascontiguousarray(data)
-            p = np.empty((u.shape[0], self.n))
-            for b in range(u.shape[0]):
-                p[b] = spla.splu(self.matrix(data[b]), **_SPD_SPLU).solve(self.load)
+        band = self._band
+        p = np.empty((u.shape[0], self.n))
+        for b, row in enumerate(data):
+            p[b] = band.solve(band.factor(row), self.load)
         r = self._apply(data, p) - self.load
         if np.any(np.linalg.norm(r, axis=1) > RESIDUAL_RTOL * np.linalg.norm(self.load)):
             raise ConvergenceError("diffusion solve residual above tolerance")
@@ -320,29 +338,6 @@ class DiffusionSolver:
     def norm_sq(self, p: np.ndarray) -> np.ndarray:
         """Squared L2 norms of the P1 functions with interior values p (B, n)."""
         return np.einsum("bi,bi->b", p, self._apply(self.mass_data, p))
-
-    def _thomas(self, data: np.ndarray) -> np.ndarray:
-        # LU without pivoting in vertex order, in the operation order of a
-        # sparse LU: multipliers by the reciprocal pivot, then a forward and
-        # a backward sweep
-        perm = self._perm
-        a = data[:, self._diag].T  # (n, B) diagonal in vertex order
-        c = data[:, self._off].T  # (n - 1, B) off-diagonal
-        f = self.load[perm]
-        piv = np.empty_like(a)
-        x = np.empty_like(a)
-        piv[0] = a[0]
-        x[0] = f[0]
-        for i in range(1, self.n):
-            lo = c[i - 1] * (1.0 / piv[i - 1])
-            piv[i] = a[i] - lo * c[i - 1]
-            x[i] = f[i] - lo * x[i - 1]
-        x[-1] /= piv[-1]
-        for i in range(self.n - 2, -1, -1):
-            x[i] = (x[i] - c[i] * x[i + 1]) / piv[i]
-        out = np.empty((x.shape[1], self.n))
-        out[:, perm] = x.T
-        return out
 
 
 def matern_field_from_noise(

@@ -101,7 +101,7 @@ class SobolGenerator:
             raise ValueError("sample index must be < 2^31")
         g = n ^ (n >> np.uint64(1))
         x = np.zeros((n.shape[0], self.dim), dtype=np.uint64)
-        for b in range(_BITS):
+        for b in range(int(g.max(initial=0)).bit_length()):
             sel = (g >> np.uint64(b)) & np.uint64(1) == 1
             if np.any(sel):
                 x[sel] ^= self._v[b]

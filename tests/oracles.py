@@ -10,6 +10,8 @@ supermeshes clipped one polygon at a time instead of in batches.
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 from scipy.special import erfc
 
@@ -28,6 +30,19 @@ def mass_matrix(mesh):
     for cell, vol in zip(mesh.cells, cell_volumes(mesh)):
         M[np.ix_(cell, cell)] += vol * base
     return M
+
+
+def splu_solve(A, b):
+    """Solve the SPD system A x = b with SuperLU in symmetric mode: minimum
+    degree on A + A^T and the diagonal as pivot, which keeps the fill of a
+    Cholesky factor. b may be a vector or a matrix of right-hand sides."""
+    lu = spla.splu(
+        sp.csc_matrix(A),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    return lu.solve(np.asarray(b, dtype=float))
 
 
 def functional_l2sq(mesh, p, M=None):
@@ -93,6 +108,19 @@ def haar_transform_tables(layout):
 def sobol_point(gen: SobolGenerator, n: int) -> np.ndarray:
     """n-th Sobol' point of gen, coordinates in [0, 1)."""
     return gen.integers([n])[0].astype(np.float64) / _SCALE
+
+
+def sobol_gray_recurrence(gen: SobolGenerator, count: int) -> np.ndarray:
+    """Integer points 0..count-1 of gen by the Antonov-Saleev step
+    x_n = x_{n-1} ^ v[ctz(n)], one point at a time."""
+    v = gen._v
+    x = np.zeros(gen.dim, dtype=np.uint64)
+    out = np.empty((count, gen.dim), dtype=np.uint64)
+    for n in range(count):
+        if n:
+            x = x ^ v[(n & -n).bit_length() - 1]
+        out[n] = x
+    return out
 
 
 def haar_cell_midpoint(haar: HaarMesh, k) -> np.ndarray:

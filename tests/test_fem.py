@@ -103,6 +103,29 @@ def test_solve_against_dense_oracle():
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-10
 
 
+def test_factorized_spd_rejects_indefinite():
+    A = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        factorized_spd(A)
+
+
+def test_factorized_spd_matrix_rhs_matches_splu():
+    mesh = _jittered_2d(8, 0.3, 11)
+    A = assemble_helmholtz(mesh, 3.0)
+    B = np.random.default_rng(3).standard_normal((A.shape[0], 5))
+    X = factorized_spd(A)(B)
+    for k in range(B.shape[1]):
+        ref = oracles.splu_solve(A, B[:, k])
+        assert np.max(np.abs(X[:, k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_band_width_is_one_on_1d_numberings():
+    mesh = _shuffled_1d(17, 5)
+    assert DiffusionSolver(mesh)._band.w == 1
+    A = assemble_helmholtz(mesh, 2.0)
+    assert fem._BandCholesky(A.indptr, A.indices, A.shape[0]).w == 1
+
+
 def test_factorized_solver_reuse():
     mesh = build_uniform_mesh(UNIT2, 2, 8)
     A = assemble_helmholtz(mesh, 2.0)
@@ -281,21 +304,24 @@ def test_diffusion_solver_matches_per_sample_path(name, batch):
     np.testing.assert_array_equal(solver.load, load)
     p = solver.solve(u, shift)
     M = restrict_interior(assemble_mass(mesh), mesh)
+    n = solver.n
     for b in range(batch):
         K = assemble_lognormal_diffusion(mesh, u[b] + shift)
-        K_batched = solver.matrix(solver.matrix_data(u[b], shift)).toarray()
+        data = solver.matrix_data(u[b], shift)
+        K_batched = sp.csc_matrix((data, solver.indices, solver.indptr), shape=(n, n)).toarray()
         np.testing.assert_allclose(K_batched, K.toarray(), rtol=1e-13, atol=1e-13 * abs(K).max())
-        ref = solve_spd(K, load)
+        ref = oracles.splu_solve(K, load)
         assert np.max(np.abs(p[b] - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert solver.norm_sq(p[b : b + 1])[0] == pytest.approx(ref @ (M @ ref), rel=1e-12)
 
 
 def test_diffusion_solver_rows_do_not_depend_on_the_batch():
-    mesh = build_uniform_mesh(Box((-0.5,), (0.5,)), 1, 32)
-    solver = DiffusionSolver(mesh)
-    u = np.random.default_rng(2).standard_normal((9, mesh.n_vertices))
-    whole = solver.solve(u)
-    np.testing.assert_array_equal(np.vstack([solver.solve(u[:4]), solver.solve(u[4:])]), whole)
+    for mesh in (build_uniform_mesh(Box((-0.5,), (0.5,)), 1, 32), build_uniform_mesh(G2, 2, 8)):
+        solver = DiffusionSolver(mesh)
+        u = np.random.default_rng(2).standard_normal((9, mesh.n_vertices))
+        whole = solver.solve(u)
+        split = np.vstack([solver.solve(u[:4]), solver.solve(u[4:])])
+        np.testing.assert_array_equal(split, whole)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

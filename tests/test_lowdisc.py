@@ -23,7 +23,7 @@ from haarmc.lowdisc import (
     shifted_point,
     sobol_points,
 )
-from oracles import normal_inverse, sobol_point
+from oracles import normal_inverse, sobol_gray_recurrence, sobol_point
 
 GEN64 = SobolGenerator(64)
 
@@ -44,6 +44,17 @@ def test_stratification_all_dims(k):
     expect = np.arange(2**k)
     for d in range(64):
         assert np.array_equal(np.sort(scaled[:, d]), expect)
+
+
+@pytest.mark.parametrize("dim", [1, 128])
+def test_integers_match_gray_code_recurrence(dim):
+    gen = SobolGenerator(dim)
+    ref = sobol_gray_recurrence(gen, 4096)
+    np.testing.assert_array_equal(gen.integers(np.arange(0, 4096)), ref)
+    for n in (0, 1, 2, 3, 4, 1000, 4095):
+        np.testing.assert_array_equal(gen.integers([n])[0], ref[n])
+    empty = gen.integers(np.arange(0))
+    assert empty.shape == (0, dim) and empty.dtype == np.uint64
 
 
 def test_dimension_overflow_message():

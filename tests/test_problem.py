@@ -20,6 +20,7 @@ from haarmc.problem import (
     sample_noise,
 )
 from haarmc.whitenoise import apply_noise_maps
+import oracles
 
 PARAMS_2D = MaternParams.lognormal_matched(2, 0.25)
 PARAMS_1D = MaternParams.lognormal_matched(1, 0.25)
@@ -70,14 +71,14 @@ def test_sampler_determinism():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_sampler_matches_per_sample_diffusion_path(dim):
     # the batched diffusion solver against assemble_lognormal_diffusion +
-    # solve_spd on the same fields, uncoupled and coupled positions
+    # a SuperLU solve on the same fields, uncoupled and coupled positions
     pars = PARAMS_1D if dim == 1 else PARAMS_2D
     ctxs = build_level_contexts(dim, [1, 2, 3], [1, 1, 1], pars)
     samplers = make_level_samplers(ctxs, seed=7)
 
     def functional(g, u):
         K = fem.assemble_lognormal_diffusion(g, u)
-        p = fem.solve_spd(K, fem.assemble_load(g)[g.interior_vertices])
+        p = oracles.splu_solve(K, fem.assemble_load(g)[g.interior_vertices])
         return p @ (fem.restrict_interior(fem.assemble_mass(g), g) @ p)
 
     for ctx, s in zip(ctxs, samplers):
@@ -138,7 +139,7 @@ def test_zero_eta_reproduces_deterministic_functional():
     expected = []
     for g in (ctxs[0].g_mesh, ctxs[1].g_mesh):
         K = fem.assemble_lognormal_diffusion(g, np.full(g.n_vertices, 0.3))
-        p = fem.solve_spd(K, fem.assemble_load(g)[g.interior_vertices])
+        p = oracles.splu_solve(K, fem.assemble_load(g)[g.interior_vertices])
         M = fem.restrict_interior(fem.assemble_mass(g), g)
         expected.append(p @ (M @ p))
     samplers = make_level_samplers(ctxs, seed=1)
