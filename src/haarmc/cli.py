@@ -13,8 +13,8 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
@@ -288,21 +288,84 @@ def _synthetic_samplers(n_levels: int) -> List[LevelSampler]:
 
 
 def _pool_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items], run by up to `threads` worker processes.
+
+    The workers are forked after the caller has built everything fn reads,
+    so they inherit fn and items instead of receiving them pickled: only
+    slice numbers go out, and results come back and are put in item order.
+    An exception raised by fn reaches the caller with its own type, a
+    worker that dies raises BrokenProcessPool, and the workers are joined
+    on every path. With one thread, one item, or no `fork` start method on
+    the platform, the map runs serially in this process.
+    """
+    if threads > 1 and len(items) > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            workers = min(threads, len(items))
+            # Interleaved slices items[k::stride]: each mixes all levels of
+            # a level-major task list, so slices cost about the same, and
+            # four per worker leave room to rebalance on a busy host while
+            # keeping round trips few (one per item cost 17 % on one core).
+            stride = min(len(items), 4 * workers)
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker,
+                initargs=(fn, items, stride),
+            ) as pool:
+                slices = list(pool.map(_run_slice, range(stride)))
+            out = [None] * len(items)
+            for k, results in enumerate(slices):
+                out[k::stride] = results
+            return out
+    return [fn(x) for x in items]
+
+
+# (fn, items, stride) of the pool a worker process serves; set only in workers
+_worker_job = None
+
+
+def _start_worker(fn, items, stride: int) -> None:
+    global _worker_job
+    _worker_job = (fn, items, stride)
+
+
+def _run_slice(k: int) -> list:
+    fn, items, stride = _worker_job
+    return [fn(x) for x in items[k::stride]]
+
+
+def _measured_batch(samplers, N: int, task):
+    """batch(m, 0, N) of one (level, m) task, with the wall-cost updates it
+    made returned instead of applied: in a worker process they would be
+    lost with the worker's copy of the sampler."""
+    li, m = task
+    s = samplers[li]
+    spent = []
+    keep, s.record = s.record, lambda seconds, n: spent.append((seconds, n))
+    try:
+        ys = s.batch(m, 0, N)
+    finally:
+        s.record = keep
+    return ys, spent
 
 
 def _replay_samplers(samplers, N: int, M: int, threads: int):
-    """Precompute batch(m, 0, N) for every (level, m) pair, in parallel, and
-    wrap the results in samplers that replay prefix slices. Output-identical
-    to using the originals directly, whatever the thread count."""
+    """Precompute batch(m, 0, N) for every (level, m) pair in `threads`
+    worker processes and wrap the results in samplers that replay prefix
+    slices. Output-identical to using the originals directly, whatever the
+    worker count. Wall-cost updates are folded into the originals' costs
+    here, in task order, before the replaying samplers copy them."""
     tasks = [(li, m) for li in range(len(samplers)) for m in range(M)]
-    results = _pool_map(lambda t: samplers[t[0]].batch(t[1], 0, N), tasks, threads)
+    results = _pool_map(partial(_measured_batch, samplers, N), tasks, threads)
     cache = {}
-    for (li, m), ys in zip(tasks, results):
+    for (li, m), (ys, spent) in zip(tasks, results):
         cache.setdefault(li, {})[m] = ys
+        for seconds, n in spent:
+            samplers[li].record(seconds, n)
 
     def make(li, s):
         return LevelSampler(
@@ -353,6 +416,7 @@ def _dump_noise(cfg: RunConfig, ctxs, out: Path, n: int) -> None:
 
 
 def _dump_fields(cfg: RunConfig, ctxs, out: Path, n: int, threads: int) -> None:
+    """Field CSVs of sample n at every level, one level per pool task."""
     pairs = _pool_map(
         lambda ctx: sample_fields(ctx, cfg.seed, 0, n), ctxs, threads
     )

@@ -14,7 +14,6 @@ __all__ = [
     "MeshHierarchy",
     "build_uniform_mesh",
     "build_hierarchy",
-    "haar_cell_index",
     "cell_volumes",
     "vertex_injection_map",
     "is_nested",
@@ -217,21 +216,6 @@ class HaarMesh:
 
     def axis_breaks(self, axis: int) -> np.ndarray:
         return np.linspace(self.box.lo[axis], self.box.hi[axis], self.cells_per_axis + 1)
-
-
-def haar_cell_index(haar: HaarMesh, points: np.ndarray) -> np.ndarray:
-    """Flat cell index of each point; points on the upper boundary are clamped
-    into the last cell along that axis."""
-    if not np.all(haar.box.contains(points)):
-        raise ValueError("point outside the Haar grid's box")
-    u = haar.box.to_unit(points)
-    n = haar.cells_per_axis
-    idx = np.floor(u * n).astype(np.int64)
-    np.clip(idx, 0, n - 1, out=idx)
-    flat = idx[:, 0]
-    for a in range(1, haar.dim):
-        flat = flat * n + idx[:, a]
-    return flat
 
 
 def _match_rows(keys: np.ndarray, table: np.ndarray) -> np.ndarray:

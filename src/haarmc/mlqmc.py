@@ -57,12 +57,15 @@ class LevelSampler:
     batch(m, n0, n1) returns the Y values of samples n0..n1-1 under
     randomization m; it must be deterministic given (m, n0, n1) and the
     seed bound at construction. cost is the per-sample cost in the active
-    cost model (dof count or measured seconds).
+    cost model (dof count or measured seconds). Under a measured cost,
+    batch reports each call's seconds through record(seconds, samples),
+    which folds them into cost; record is None when cost is fixed.
     """
 
     level: int
     cost: float
     batch: Callable[[int, int, int], np.ndarray]
+    record: Optional[Callable[[float, int], None]] = None
 
 
 def qmc_estimate(sampler: LevelSampler, N: int, M: int):

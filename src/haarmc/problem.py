@@ -44,7 +44,6 @@ __all__ = [
     "build_level_contexts",
     "make_level_samplers",
     "sample_fields",
-    "sample_field_batch",
     "sample_noise",
     "default_g_box",
     "default_d_box",
@@ -280,40 +279,28 @@ def _diffusion(g_mesh, solvers: dict) -> fem.DiffusionSolver:
 def _make_sampler(ctx, seed, use_qmc, cost_model, solvers):
     fine = _diffusion(ctx.g_mesh, solvers)
     coarse = _diffusion(ctx.g_coarse, solvers) if ctx.coupled else None
-    sampler = LevelSampler(level=ctx.position, cost=ctx.dof_cost, batch=None)
+    wall = cost_model == "wall"
     timing = {"seconds": 0.0, "samples": 0}
-    # batches of one level may run on several pool threads at once
+    # batches of one level may run on several threads at once
     lock = threading.Lock()
+
+    def record(seconds: float, samples: int) -> None:
+        with lock:
+            timing["seconds"] += seconds
+            timing["samples"] += samples
+            sampler.cost = timing["seconds"] / timing["samples"]
 
     def batch(m: int, n0: int, n1: int) -> np.ndarray:
         gen, shift = _qmc_driver(ctx, seed, m, use_qmc)
         t0 = time.perf_counter()
         y = _y_batch(ctx, seed, m, n0, n1, gen, shift, fine, coarse)
-        if cost_model == "wall":
-            elapsed = time.perf_counter() - t0
-            with lock:
-                timing["seconds"] += elapsed
-                timing["samples"] += n1 - n0
-                sampler.cost = timing["seconds"] / timing["samples"]
+        if wall:
+            # through the attribute, so a caller may collect the timings
+            sampler.record(time.perf_counter() - t0, n1 - n0)
         return y
 
-    sampler.batch = batch
+    sampler = LevelSampler(ctx.position, ctx.dof_cost, batch, record if wall else None)
     return sampler
-
-
-def sample_field_batch(
-    ctx: LevelContext, seed: int, m: int, n0: int, n1: int, use_qmc: bool = False
-) -> np.ndarray:
-    """Matern fields on G for samples n0..n1-1 (rows), mean shift applied."""
-    gen, shift = _qmc_driver(ctx, seed, m, use_qmc)
-    out = np.empty((n1 - n0, ctx.g_mesh.n_vertices))
-    step = ctx.chunk_size
-    for a in range(n0, n1, step):
-        b = min(a + step, n1)
-        z, zc = _draw_inputs(ctx, seed, m, a, b, gen, shift)
-        u_f, _ = _matern_batch(ctx, z, zc)
-        out[a - n0 : b - n0] = u_f + ctx.params.mean_shift
-    return out
 
 
 def sample_fields(ctx: LevelContext, seed: int, m: int, n: int, use_qmc: bool = False):

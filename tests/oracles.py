@@ -139,6 +139,21 @@ def haar_cell_midpoint(haar: HaarMesh, k) -> np.ndarray:
     return haar.box.from_unit(unit)
 
 
+def haar_cell_index(haar: HaarMesh, points: np.ndarray) -> np.ndarray:
+    """Flat cell index of each point; points on the upper boundary are clamped
+    into the last cell along that axis."""
+    if not np.all(haar.box.contains(points)):
+        raise ValueError("point outside the Haar grid's box")
+    u = haar.box.to_unit(points)
+    n = haar.cells_per_axis
+    idx = np.floor(u * n).astype(np.int64)
+    np.clip(idx, 0, n - 1, out=idx)
+    flat = idx[:, 0]
+    for a in range(1, haar.dim):
+        flat = flat * n + idx[:, a]
+    return flat
+
+
 def read_mesh(path) -> SimplicialMesh:
     with open(path) as f:
         dim, nv, nc = map(int, f.readline().split())
@@ -312,6 +327,22 @@ def noise_covariances(tables, layout):
         for j in range(n_spaces):
             cov[i][j] = rows_z[i].T @ rows_z[j] + rows_c[i].T @ rows_c[j]
     return cov
+
+
+def sample_field_batch(ctx, seed: int, m: int, n0: int, n1: int, use_qmc: bool = False):
+    """Matern fields on G for samples n0..n1-1 (rows), mean shift applied,
+    drawn through the sampler's own input path chunk by chunk."""
+    from haarmc.problem import _draw_inputs, _matern_batch, _qmc_driver
+
+    gen, shift = _qmc_driver(ctx, seed, m, use_qmc)
+    out = np.empty((n1 - n0, ctx.g_mesh.n_vertices))
+    step = ctx.chunk_size
+    for a in range(n0, n1, step):
+        b = min(a + step, n1)
+        z, zc = _draw_inputs(ctx, seed, m, a, b, gen, shift)
+        u_f, _ = _matern_batch(ctx, z, zc)
+        out[a - n0 : b - n0] = u_f + ctx.params.mean_shift
+    return out
 
 
 # ------------------------------------------------------------- supermesh

@@ -28,7 +28,6 @@ from haarmc.mesh import (
     build_hierarchy,
     build_uniform_mesh,
     cell_volumes,
-    haar_cell_index,
 )
 from haarmc.mlqmc import (
     mlmc_optimal_allocation,
@@ -42,11 +41,11 @@ from haarmc.problem import (
     default_d_box,
     default_g_box,
     make_level_samplers,
-    sample_field_batch,
 )
 from haarmc.supermesh import build_supermesh, build_three_way_supermesh
 from haarmc.whitenoise import apply_noise_maps, build_layout, build_tables
 import oracles
+from oracles import haar_cell_index, sample_field_batch
 from test_mlqmc import _reference_greedy, const_sampler
 
 BIG1 = Box((-1.0,), (1.0,))

@@ -2,17 +2,21 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
 import haarmc
+from haarmc import fem
 from haarmc.cli import (
     ConfigError,
+    _pool_map,
     config_hash,
     config_to_dict,
     main,
@@ -108,14 +112,60 @@ def test_screen_reruns_are_byte_identical(tmp_path):
 
 
 def test_screen_threads_do_not_change_output(tmp_path):
+    cfg = write_config(tmp_path, N_list=[16, 32])
+    runs = [
+        ["screen"],
+        ["nvar"],
+        ["field", "--sample", "3", "--dump-noise"],
+    ]
+    for argv in runs:
+        outs = {}
+        for threads in ("1", "3", "4"):
+            out = tmp_path / f"{argv[0]}_t{threads}"
+            args = argv + ["--config", str(cfg), "--out", str(out)]
+            assert main(args + ["--threads", threads]) == 0
+            outs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(outs["1"]) > 1
+        assert outs["3"] == outs["1"]
+        assert outs["4"] == outs["1"]
+
+
+def test_screen_wall_costs_survive_worker_processes(tmp_path):
+    # each worker times its batches on its own copy of the samplers, so the
+    # parent must fold those seconds in; otherwise the dof counts remain
+    cfg = write_config(tmp_path, cost_model="wall")
+    out = tmp_path / "wall"
+    args = ["screen", "--config", str(cfg), "--out", str(out), "--threads", "2"]
+    assert main(args) == 0
+    rows = read_rows(out / "screen.csv")
+    costs = [float(row[5]) for row in rows[1:]]
+    assert len(costs) == 2
+    assert all(0.0 < c < 0.1 for c in costs), costs  # seconds per sample
+
+
+def test_worker_errors_reach_the_caller(tmp_path, monkeypatch):
+    # forked workers inherit the patched tolerance
+    monkeypatch.setattr(fem, "RESIDUAL_RTOL", 0.0)
     cfg = write_config(tmp_path)
-    out1, out4 = tmp_path / "t1", tmp_path / "t4"
-    assert main(["screen", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert (
-        main(["screen", "--config", str(cfg), "--out", str(out4), "--threads", "4"])
-        == 0
-    )
-    assert (out1 / "screen.csv").read_bytes() == (out4 / "screen.csv").read_bytes()
+    for threads in ("1", "2"):
+        args = ["screen", "--config", str(cfg), "--out", str(tmp_path / threads)]
+        with pytest.raises(fem.ConvergenceError):
+            main(args + ["--threads", threads])
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_map_raises_when_a_worker_dies():
+    parent = os.getpid()
+
+    def fn(x):
+        if x == 1 and os.getpid() != parent:
+            os._exit(1)  # as if the worker were killed
+        return 10 * x
+
+    with pytest.raises(BrokenProcessPool):
+        _pool_map(fn, [0, 1, 2, 3], 2)
+    assert multiprocessing.active_children() == []
+    assert _pool_map(fn, [0, 1, 2, 3], 1) == [0, 10, 20, 30]
 
 
 def test_screen_seed_override_changes_rows(tmp_path):

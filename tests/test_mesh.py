@@ -8,13 +8,12 @@ from haarmc.mesh import (
     build_hierarchy,
     build_uniform_mesh,
     cell_volumes,
-    haar_cell_index,
     is_nested,
     vertex_injection_map,
     write_mesh,
 )
 import oracles
-from oracles import haar_cell_midpoint, read_mesh
+from oracles import haar_cell_index, haar_cell_midpoint, read_mesh
 
 UNIT1 = Box((0.0,), (1.0,))
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))

@@ -15,12 +15,12 @@ from haarmc.problem import (
     default_d_box,
     default_g_box,
     make_level_samplers,
-    sample_field_batch,
     sample_fields,
     sample_noise,
 )
 from haarmc.whitenoise import apply_noise_maps
 import oracles
+from oracles import sample_field_batch
 
 PARAMS_2D = MaternParams.lognormal_matched(2, 0.25)
 PARAMS_1D = MaternParams.lognormal_matched(1, 0.25)

@@ -14,7 +14,6 @@ from haarmc.mesh import (
     build_hierarchy,
     build_uniform_mesh,
     cell_volumes,
-    haar_cell_index,
 )
 from haarmc.problem import default_d_box, default_g_box
 from haarmc.supermesh import (
@@ -25,7 +24,7 @@ from haarmc.supermesh import (
     write_supermesh_csv,
 )
 import oracles
-from oracles import barycentric
+from oracles import barycentric, haar_cell_index
 
 UNIT1 = Box((0.0,), (1.0,))
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
