@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import List, Optional
@@ -90,28 +90,9 @@ class RunConfig:
     synthetic: bool = False
 
 
-_MATERN_KEYS = {"mode", "lambda", "mean", "variance", "sigma", "mean_shift"}
-_TOP_KEYS = {
-    "dim",
-    "mesh_levels",
-    "haar_levels",
-    "g_box",
-    "d_box",
-    "matern",
-    "estimator",
-    "eps",
-    "theta",
-    "M",
-    "seed",
-    "out",
-    "cost_model",
-    "L_min",
-    "L_max",
-    "N_init",
-    "N_screen",
-    "N_list",
-    "synthetic",
-}
+# the config keys are the dataclass fields; MaternConfig.lam is "lambda"
+_MATERN_KEYS = {"lambda" if f.name == "lam" else f.name for f in fields(MaternConfig)}
+_TOP_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _require(cond, path, message):
@@ -131,14 +112,7 @@ def parse_config(data: dict) -> RunConfig:
     _require(
         not unknown, "matern." + (sorted(unknown)[0] if unknown else ""), "unknown field"
     )
-    mat = MaternConfig(
-        mode=md.get("mode", "match-lognormal"),
-        lam=md.get("lambda", 0.25),
-        mean=md.get("mean", 1.0),
-        variance=md.get("variance", 0.2),
-        sigma=md.get("sigma"),
-        mean_shift=md.get("mean_shift", 0.0),
-    )
+    mat = MaternConfig(**{"lam" if k == "lambda" else k: v for k, v in md.items()})
     for key in _TOP_KEYS - {"matern"}:
         if key in data:
             setattr(cfg, key, data[key])
@@ -401,8 +375,8 @@ def _write_noise_csv(path, values) -> None:
 def _dump_static(cfg: RunConfig, ctxs, out: Path, args) -> None:
     for ctx in ctxs:
         if args.dump_mesh:
-            write_mesh(ctx.g_mesh, out / f"mesh_g_l{ctx.position}.txt")
-            write_mesh(ctx.d_mesh, out / f"mesh_d_l{ctx.position}.txt")
+            write_mesh(ctx.spaces[0].g_mesh, out / f"mesh_g_l{ctx.position}.txt")
+            write_mesh(ctx.spaces[0].d_mesh, out / f"mesh_d_l{ctx.position}.txt")
         if args.dump_supermesh:
             write_supermesh_csv(ctx.supermesh, out / f"supermesh_l{ctx.position}.csv")
 
@@ -420,13 +394,12 @@ def _dump_fields(cfg: RunConfig, ctxs, out: Path, n: int, threads: int) -> None:
     pairs = _pool_map(
         lambda ctx: sample_fields(ctx, cfg.seed, 0, n), ctxs, threads
     )
-    for ctx, (f_fine, f_coarse) in zip(ctxs, pairs):
+    for ctx, values in zip(ctxs, pairs):
         head = f"# seed={cfg.seed} level={ctx.position} sample={n}"
-        _write_field_csv(out / f"field_l{ctx.position}.csv", ctx.g_mesh, f_fine, head)
-        if f_coarse is not None:
-            _write_field_csv(
-                out / f"field_l{ctx.position}_coarse.csv", ctx.g_coarse, f_coarse, head
-            )
+        # ctx.spaces ends the zip before an uncoupled level's None
+        for suffix, u, space in zip(("", "_coarse"), values, ctx.spaces):
+            path = out / f"field_l{ctx.position}{suffix}.csv"
+            _write_field_csv(path, space.g_mesh, u, head)
 
 
 # --------------------------------------------------------------------------

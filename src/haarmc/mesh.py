@@ -50,21 +50,6 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(self.sides))
 
-    def to_unit(self, points: np.ndarray) -> np.ndarray:
-        """Affine map of physical points onto the unit box [0,1]^d."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return (p - np.asarray(self.lo)) / self.sides
-
-    def from_unit(self, points: np.ndarray) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return p * self.sides + np.asarray(self.lo)
-
-    def contains(self, points: np.ndarray, tol: float = _COORD_TOL) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = np.asarray(self.lo) - tol
-        hi = np.asarray(self.hi) + tol
-        return np.all((p >= lo) & (p <= hi), axis=1)
-
 
 @dataclass
 class SimplicialMesh:
@@ -119,16 +104,6 @@ class SimplicialMesh:
         mask = np.ones(self.n_vertices, dtype=bool)
         mask[self.boundary_vertices] = False
         return np.nonzero(mask)[0]
-
-    def mesh_size(self) -> float:
-        """Longest edge over all cells."""
-        V, C = self.vertices, self.cells
-        h = 0.0
-        for i in range(self.dim + 1):
-            for j in range(i + 1, self.dim + 1):
-                e = V[C[:, i]] - V[C[:, j]]
-                h = max(h, float(np.sqrt((e * e).sum(axis=1)).max()))
-        return h
 
 
 def cell_volumes(mesh: SimplicialMesh) -> np.ndarray:
@@ -213,9 +188,6 @@ class HaarMesh:
     @property
     def cell_volume(self) -> float:
         return self.box.volume / self.n_cells
-
-    def axis_breaks(self, axis: int) -> np.ndarray:
-        return np.linspace(self.box.lo[axis], self.box.hi[axis], self.cells_per_axis + 1)
 
 
 def _match_rows(keys: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from .lowdisc import (
     shifted_point,
     sobol_points,
 )
-from .mesh import Box, MeshHierarchy, build_hierarchy
+from .mesh import Box, HaarMesh, SimplicialMesh, build_hierarchy
 from .mlqmc import LevelSampler
 from .supermesh import Supermesh, build_supermesh, build_three_way_supermesh
 from .whitenoise import (
@@ -40,6 +40,7 @@ from .whitenoise import (
 )
 
 __all__ = [
+    "Space",
     "LevelContext",
     "build_level_contexts",
     "make_level_samplers",
@@ -62,41 +63,59 @@ def default_d_box(dim: int) -> Box:
 
 
 @dataclass
+class Space:
+    """One discretisation of the hierarchy, built once per position and
+    shared by that position's context (as its fine space) and the next
+    one's (as its coarse space): the meshes of G and D, the D -> G vertex
+    injection, the prefactorized Helmholtz solve on D and the diffusion
+    solver on G."""
+
+    g_mesh: SimplicialMesh
+    d_mesh: SimplicialMesh
+    inj: np.ndarray
+    solve: Callable
+    diffusion: fem.DiffusionSolver
+
+
+@dataclass
 class LevelContext:
     """Precomputed state for one hierarchy position.
 
-    position 0 has no coarse half; every context owns its supermesh and the
-    noise operator built from it, and shares its wavelet layout with every
-    context of the same Haar level and its prefactorized Helmholtz solves
-    with its neighbours.
+    `spaces` is [fine] at position 0 and [fine, coarse] above it, in the
+    order of `tables.spaces`; the coarse space is the previous position's
+    fine space. Every context owns its supermesh and the noise operator
+    built from it, and shares its wavelet layout with every context of the
+    same Haar level.
     """
 
     position: int
     params: MaternParams
-    g_mesh: object
-    d_mesh: object
-    haar: object
+    haar: HaarMesh
     layout: HaarLayout
     supermesh: Supermesh
     tables: CellGeometryTables
-    solve_fine: Callable
-    inj_fine: np.ndarray  # D -> G vertex injection
-    g_coarse: object = None
-    d_coarse: object = None
-    solve_coarse: Optional[Callable] = None
-    inj_coarse: Optional[np.ndarray] = None
-    dof_cost: float = 0.0
+    spaces: List[Space]
 
     @property
     def coupled(self) -> bool:
-        return self.d_coarse is not None
+        return len(self.spaces) == 2
+
+    @property
+    def dof_cost(self) -> float:
+        """Interior dofs of the systems one sample solves."""
+        return float(
+            sum(
+                s.d_mesh.interior_vertices.size + s.g_mesh.interior_vertices.size
+                for s in self.spaces
+            )
+        )
 
     @property
     def chunk_size(self) -> int:
         per_sample = (
             self.layout.total_dim
             + self.tables.cell_block_size
-            + 4 * self.d_mesh.n_vertices
+            + 4 * self.spaces[0].d_mesh.n_vertices
         )
         return max(1, CHUNK_FLOAT_BUDGET // per_sample)
 
@@ -119,50 +138,25 @@ def build_level_contexts(
     g_box = g_box or default_g_box(dim)
     d_box = d_box or default_d_box(dim)
     hier = build_hierarchy(g_box, d_box, dim, mesh_levels, haar_levels)
-    solves = {}
-    for pos, (g, d, _) in enumerate(hier.levels):
-        solves[pos] = fem.factorized_spd(fem.assemble_helmholtz(d, params.kappa))
+    spaces = []
+    for (g, d, _), inj in zip(hier.levels, hier.injections):
+        solve = fem.factorized_spd(fem.assemble_helmholtz(d, params.kappa))
+        spaces.append(Space(g, d, inj, solve, fem.DiffusionSolver(g)))
     layouts = {lvl: build_layout(dim, lvl) for lvl in set(haar_levels)}
     contexts = []
-    for pos, (g, d, haar) in enumerate(hier.levels):
-        layout = layouts[haar.level]
-        inj = hier.injections[pos]
+    for pos, (_, d, haar) in enumerate(hier.levels):
         if pos == 0:
+            own = [spaces[0]]
             sm = build_supermesh(d, haar)
             tables = build_tables(d, haar, sm)
-            ctx = LevelContext(
-                pos, params, g, d, haar, layout, sm, tables, solves[pos], inj
-            )
-            ctx.dof_cost = float(
-                d.interior_vertices.size + g.interior_vertices.size
-            )
         else:
-            gc, dc, _ = hier.levels[pos - 1]
+            own = [spaces[pos], spaces[pos - 1]]
+            dc = own[1].d_mesh
             sm = build_three_way_supermesh(d, dc, haar)
             tables = build_tables(d, haar, sm, coarse=dc)
-            ctx = LevelContext(
-                pos,
-                params,
-                g,
-                d,
-                haar,
-                layout,
-                sm,
-                tables,
-                solves[pos],
-                inj,
-                g_coarse=gc,
-                d_coarse=dc,
-                solve_coarse=solves[pos - 1],
-                inj_coarse=hier.injections[pos - 1],
-            )
-            ctx.dof_cost = float(
-                d.interior_vertices.size
-                + dc.interior_vertices.size
-                + g.interior_vertices.size
-                + gc.interior_vertices.size
-            )
-        contexts.append(ctx)
+        contexts.append(
+            LevelContext(pos, params, haar, layouts[haar.level], sm, tables, own)
+        )
     return contexts
 
 
@@ -208,44 +202,29 @@ def _draw_inputs(
 
 
 def _matern_batch(ctx: LevelContext, z: np.ndarray, z_cells: np.ndarray):
-    """Gaussian fields on G for each draw: (fields_fine, fields_coarse)."""
+    """Gaussian fields on G for each draw, one (B, n_g) array per space."""
     bs = apply_noise_maps(ctx.tables, ctx.layout, z, z_cells)
-    u_f = fem.matern_field_from_noise(ctx.d_mesh, ctx.params, bs[0], ctx.solve_fine)
-    out_f = u_f[:, ctx.inj_fine]
-    if not ctx.coupled:
-        return out_f, None
-    u_c = fem.matern_field_from_noise(
-        ctx.d_coarse, ctx.params, bs[1], ctx.solve_coarse
-    )
-    return out_f, u_c[:, ctx.inj_coarse]
-
-
-def _functional(solver: fem.DiffusionSolver, u_g: np.ndarray, shift: float) -> np.ndarray:
-    """P = squared L2 norm of the pressure for each coefficient field."""
-    return solver.norm_sq(solver.solve(u_g, shift))
+    return [
+        fem.matern_field_from_noise(s.d_mesh, ctx.params, b, s.solve)[:, s.inj]
+        for s, b in zip(ctx.spaces, bs)
+    ]
 
 
 def _y_batch(
-    ctx: LevelContext,
-    seed: int,
-    m: int,
-    n0: int,
-    n1: int,
-    gen,
-    shift,
-    fine,
-    coarse,
+    ctx: LevelContext, seed: int, m: int, n0: int, n1: int, gen, shift
 ) -> np.ndarray:
+    """Y for samples n0..n1-1: P = squared L2 norm of the pressure on the
+    fine space, minus the same on the coarse space of a coupled level."""
     out = np.empty(n1 - n0)
     step = ctx.chunk_size
     for a in range(n0, n1, step):
         b = min(a + step, n1)
         z, zc = _draw_inputs(ctx, seed, m, a, b, gen, shift)
-        u_f, u_c = _matern_batch(ctx, z, zc)
-        y = _functional(fine, u_f, ctx.params.mean_shift)
-        if ctx.coupled:
-            y = y - _functional(coarse, u_c, ctx.params.mean_shift)
-        out[a - n0 : b - n0] = y
+        p = [
+            s.diffusion.norm_sq(s.diffusion.solve(u, ctx.params.mean_shift))
+            for s, u in zip(ctx.spaces, _matern_batch(ctx, z, zc))
+        ]
+        out[a - n0 : b - n0] = p[0] - p[1] if ctx.coupled else p[0]
     return out
 
 
@@ -263,23 +242,10 @@ def make_level_samplers(
     """
     if cost_model not in ("dofs", "wall"):
         raise ValueError("cost_model must be 'dofs' or 'wall'")
-    solvers: dict = {}
-    return [_make_sampler(c, seed, use_qmc, cost_model, solvers) for c in contexts]
+    return [_make_sampler(c, seed, use_qmc, cost_model == "wall") for c in contexts]
 
 
-def _diffusion(g_mesh, solvers: dict) -> fem.DiffusionSolver:
-    """The diffusion solver of a G mesh, built once per mesh: the fine mesh
-    of one position is the coarse mesh of the next."""
-    key = id(g_mesh)
-    if key not in solvers:
-        solvers[key] = fem.DiffusionSolver(g_mesh)
-    return solvers[key]
-
-
-def _make_sampler(ctx, seed, use_qmc, cost_model, solvers):
-    fine = _diffusion(ctx.g_mesh, solvers)
-    coarse = _diffusion(ctx.g_coarse, solvers) if ctx.coupled else None
-    wall = cost_model == "wall"
+def _make_sampler(ctx, seed, use_qmc, wall):
     timing = {"seconds": 0.0, "samples": 0}
     # batches of one level may run on several threads at once
     lock = threading.Lock()
@@ -293,7 +259,7 @@ def _make_sampler(ctx, seed, use_qmc, cost_model, solvers):
     def batch(m: int, n0: int, n1: int) -> np.ndarray:
         gen, shift = _qmc_driver(ctx, seed, m, use_qmc)
         t0 = time.perf_counter()
-        y = _y_batch(ctx, seed, m, n0, n1, gen, shift, fine, coarse)
+        y = _y_batch(ctx, seed, m, n0, n1, gen, shift)
         if wall:
             # through the attribute, so a caller may collect the timings
             sampler.record(time.perf_counter() - t0, n1 - n0)
@@ -311,11 +277,8 @@ def sample_fields(ctx: LevelContext, seed: int, m: int, n: int, use_qmc: bool = 
     """
     gen, shift = _qmc_driver(ctx, seed, m, use_qmc)
     z, zc = _draw_inputs(ctx, seed, m, n, n + 1, gen, shift)
-    u_f, u_c = _matern_batch(ctx, z, zc)
-    shift_c = ctx.params.mean_shift
-    if ctx.coupled:
-        return u_f[0] + shift_c, u_c[0] + shift_c
-    return u_f[0] + shift_c, None
+    fields = [u[0] + ctx.params.mean_shift for u in _matern_batch(ctx, z, zc)]
+    return fields[0], fields[1] if ctx.coupled else None
 
 
 def sample_noise(ctx: LevelContext, seed: int, m: int, n: int, use_qmc: bool = False):

@@ -81,38 +81,7 @@ class HaarLayout:
     def total_dim(self) -> int:
         return self.levels.shape[0]
 
-    def index_of(self, l, n) -> int:
-        """Position of coefficient (l, n) in the flat ordering."""
-        i = int(self.flat_indices(np.asarray(l), np.asarray(n)))
-        if i < 0:
-            raise KeyError((tuple(l), tuple(n)))
-        return i
-
-    def flat_indices(self, l: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """Positions of the coefficients (l[..., :], n[..., :]) in the flat
-        ordering, -1 where there is no such coefficient."""
-        key = self._key(l, n)
-        at = np.minimum(np.searchsorted(self._sorted_keys, key), self.total_dim - 1)
-        return np.where(self._sorted_keys[at] == key, self._key_order[at], -1)
-
-    def _key(self, l, n) -> np.ndarray:
-        # (l + 1, n) as digits: level digits in base L + 2, shift digits in
-        # base 2^max(L, 0); out-of-range entries get a key no coefficient has
-        l = np.asarray(l, dtype=np.int64)
-        n = np.asarray(n, dtype=np.int64)
-        lbase, nbase = self.level + 2, 1 << max(self.level, 0)
-        key = np.zeros(l.shape[:-1], dtype=np.int64)
-        ok = np.ones(l.shape[:-1], dtype=bool)
-        for i in range(self.dim):
-            key = (key * lbase + l[..., i] + 1) * nbase + n[..., i]
-            ok &= (l[..., i] >= -1) & (l[..., i] < lbase - 1)
-            ok &= (n[..., i] >= 0) & (n[..., i] < nbase)
-        return np.where(ok, key, -1)
-
     def __post_init__(self):
-        keys = self._key(self.levels, self.shifts)
-        self._key_order = np.argsort(keys)
-        self._sorted_keys = keys[self._key_order]
         self.H = _haar_transform(self)
 
 
@@ -144,6 +113,11 @@ def _haar_transform(layout: HaarLayout) -> sp.csr_matrix:
     nside = 1 << (L + 1)
     n_cells = nside**d
     lvecs = list(itertools.product(_level_range(L), repeat=d))
+    # one level vector's coefficients are contiguous, in C order of shifts
+    starts = np.flatnonzero(
+        np.r_[True, np.any(layout.levels[1:] != layout.levels[:-1], axis=1)]
+    )
+    first_index = {tuple(layout.levels[i].tolist()): i for i in starts}
     idx = np.empty((n_cells, len(lvecs)), dtype=np.int64)
     coef = np.empty((n_cells, len(lvecs)), dtype=np.float64)
     # unit-box midpoints in the flat cell order (first axis most significant)
@@ -154,7 +128,8 @@ def _haar_transform(layout: HaarLayout) -> sp.csr_matrix:
         nbar = np.floor(mids * (2.0 ** np.array(lvec))).astype(np.int64)
         half = np.floor(mids * (2.0 ** (np.array(lvec) + 1))).astype(np.int64)
         sign = np.prod(1 - 2 * (half % 2), axis=1)
-        idx[:, j] = layout.flat_indices(np.broadcast_to(lvec, nbar.shape), nbar)
+        shape = tuple(1 << max(li, 0) for li in lvec)
+        idx[:, j] = first_index[lvec] + np.ravel_multi_index(nbar.T, shape)
         coef[:, j] = sign * scale
     indptr = np.arange(0, idx.size + 1, len(lvecs))
     return sp.csr_matrix(

@@ -123,6 +123,24 @@ def sobol_gray_recurrence(gen: SobolGenerator, count: int) -> np.ndarray:
     return out
 
 
+def box_to_unit(box, points: np.ndarray) -> np.ndarray:
+    """Affine map of physical points onto the unit box [0,1]^d."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    return (p - np.asarray(box.lo)) / box.sides
+
+
+def box_from_unit(box, points: np.ndarray) -> np.ndarray:
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    return p * box.sides + np.asarray(box.lo)
+
+
+def box_contains(box, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    lo = np.asarray(box.lo) - tol
+    hi = np.asarray(box.hi) + tol
+    return np.all((p >= lo) & (p <= hi), axis=1)
+
+
 def haar_cell_midpoint(haar: HaarMesh, k) -> np.ndarray:
     """Physical midpoint(s) of cell(s) k."""
     k = np.atleast_1d(np.asarray(k, dtype=np.int64))
@@ -136,15 +154,15 @@ def haar_cell_midpoint(haar: HaarMesh, k) -> np.ndarray:
         rem //= n
     axes = axes[::-1]  # first axis is the most significant digit
     unit = np.column_stack([(a + 0.5) / n for a in axes])
-    return haar.box.from_unit(unit)
+    return box_from_unit(haar.box, unit)
 
 
 def haar_cell_index(haar: HaarMesh, points: np.ndarray) -> np.ndarray:
     """Flat cell index of each point; points on the upper boundary are clamped
     into the last cell along that axis."""
-    if not np.all(haar.box.contains(points)):
+    if not np.all(box_contains(haar.box, points)):
         raise ValueError("point outside the Haar grid's box")
-    u = haar.box.to_unit(points)
+    u = box_to_unit(haar.box, points)
     n = haar.cells_per_axis
     idx = np.floor(u * n).astype(np.int64)
     np.clip(idx, 0, n - 1, out=idx)
@@ -335,12 +353,12 @@ def sample_field_batch(ctx, seed: int, m: int, n0: int, n1: int, use_qmc: bool =
     from haarmc.problem import _draw_inputs, _matern_batch, _qmc_driver
 
     gen, shift = _qmc_driver(ctx, seed, m, use_qmc)
-    out = np.empty((n1 - n0, ctx.g_mesh.n_vertices))
+    out = np.empty((n1 - n0, ctx.spaces[0].g_mesh.n_vertices))
     step = ctx.chunk_size
     for a in range(n0, n1, step):
         b = min(a + step, n1)
         z, zc = _draw_inputs(ctx, seed, m, a, b, gen, shift)
-        u_f, _ = _matern_batch(ctx, z, zc)
+        u_f = _matern_batch(ctx, z, zc)[0]
         out[a - n0 : b - n0] = u_f + ctx.params.mean_shift
     return out
 

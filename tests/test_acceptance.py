@@ -197,7 +197,7 @@ def test_matern_field_statistics():
     ctx = build_level_contexts(2, [3], [3], params)[0]
     fields = sample_field_batch(ctx, seed=7, m=0, n0=0, n1=N, use_qmc=False)
     u = fields - params.mean_shift
-    verts = ctx.g_mesh.vertices
+    verts = ctx.spaces[0].g_mesh.vertices
     center = int(np.argmin(np.linalg.norm(verts, axis=1)))
     probe = int(np.argmin(np.linalg.norm(verts - [0.25, 0.0], axis=1)))
     np.testing.assert_allclose(verts[center], [0.0, 0.0], atol=1e-12)

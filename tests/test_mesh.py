@@ -39,11 +39,6 @@ def test_uniform_2d_counts_and_area():
     assert cell_volumes(mesh).sum() == pytest.approx(4.0, rel=1e-12)
 
 
-def test_uniform_2d_mesh_size():
-    mesh = build_uniform_mesh(BIG2, 2, 4)
-    assert mesh.mesh_size() == pytest.approx(np.sqrt(2.0) * 0.5, rel=1e-12)
-
-
 @pytest.mark.parametrize("dim,n", [(1, 1), (1, 7), (2, 1), (2, 5)])
 def test_volume_conservation(dim, n):
     box = BIG2 if dim == 2 else Box((-1.0,), (1.0,))

@@ -35,16 +35,18 @@ def test_context_wiring():
     for c in ctxs:
         assert c.chunk_size >= 1
     c0, c1 = ctxs[0], ctxs[1]
-    assert c0.dof_cost == c0.d_mesh.interior_vertices.size + c0.g_mesh.interior_vertices.size
+    (f0,) = c0.spaces
+    f1, k1 = c1.spaces
+    assert c0.dof_cost == f0.d_mesh.interior_vertices.size + f0.g_mesh.interior_vertices.size
     assert c1.dof_cost == (
-        c1.d_mesh.interior_vertices.size
-        + c1.d_coarse.interior_vertices.size
-        + c1.g_mesh.interior_vertices.size
-        + c1.g_coarse.interior_vertices.size
+        f1.d_mesh.interior_vertices.size
+        + k1.d_mesh.interior_vertices.size
+        + f1.g_mesh.interior_vertices.size
+        + k1.g_mesh.interior_vertices.size
     )
-    # the coarse half of a coupled context is the previous position's fine half
-    assert c1.d_coarse is c0.d_mesh
-    assert c1.g_coarse is c0.g_mesh
+    # the coarse space of a coupled context is the previous position's fine one
+    assert ctxs[1].spaces[1] is ctxs[0].spaces[0]
+    assert ctxs[2].spaces[1] is ctxs[1].spaces[0]
 
 
 def test_context_validation():
@@ -85,10 +87,10 @@ def test_sampler_matches_per_sample_diffusion_path(dim):
         y = s.batch(1, 0, 6)
         for n in range(6):
             uf, uc = sample_fields(ctx, seed=7, m=1, n=n, use_qmc=True)
-            ref = functional(ctx.g_mesh, uf)
+            ref = functional(ctx.spaces[0].g_mesh, uf)
             if ctx.coupled:
-                ref -= functional(ctx.g_coarse, uc)
-            scale = abs(functional(ctx.g_mesh, uf))
+                ref -= functional(ctx.spaces[1].g_mesh, uc)
+            scale = abs(functional(ctx.spaces[0].g_mesh, uf))
             assert y[n] == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
 
 
@@ -113,7 +115,7 @@ def test_one_diffusion_solver_per_g_mesh_built_at_set_up(monkeypatch):
     ctxs = build_level_contexts(1, [1, 2, 3], [1, 1, 1], PARAMS_1D)
     samplers = make_level_samplers(ctxs, seed=0)
     # the fine G mesh of position p is the coarse G mesh of position p + 1
-    assert [id(m) for m in built] == [id(c.g_mesh) for c in ctxs]
+    assert [id(m) for m in built] == [id(c.spaces[0].g_mesh) for c in ctxs]
     for s in samplers:
         s.batch(0, 0, 2)
     assert len(built) == len(ctxs)
@@ -137,7 +139,7 @@ def test_zero_eta_reproduces_deterministic_functional():
     pars = _zero_noise_params(1)
     ctxs = build_level_contexts(1, [2, 3], [1, 1], pars)
     expected = []
-    for g in (ctxs[0].g_mesh, ctxs[1].g_mesh):
+    for g in (ctxs[0].spaces[0].g_mesh, ctxs[1].spaces[0].g_mesh):
         K = fem.assemble_lognormal_diffusion(g, np.full(g.n_vertices, 0.3))
         p = oracles.splu_solve(K, fem.assemble_load(g)[g.interior_vertices])
         M = fem.restrict_interior(fem.assemble_mass(g), g)
@@ -153,18 +155,19 @@ def test_zero_eta_constant_field():
     pars = _zero_noise_params(2)
     ctx = build_level_contexts(2, [2], [0], pars)[0]
     uf, uc = sample_fields(ctx, seed=5, m=0, n=0)
-    np.testing.assert_array_equal(uf, np.full(ctx.g_mesh.n_vertices, 0.3))
+    np.testing.assert_array_equal(uf, np.full(ctx.spaces[0].g_mesh.n_vertices, 0.3))
     assert uc is None
 
 
 def test_coupled_fields_share_one_noise_event():
     ctx = build_level_contexts(1, [3, 4], [2, 2], PARAMS_1D)[1]
     uf, uc = sample_fields(ctx, seed=9, m=0, n=0)
-    assert uf.shape == (ctx.g_mesh.n_vertices,)
-    assert uc.shape == (ctx.g_coarse.n_vertices,)
+    fine, coarse = ctx.spaces
+    assert uf.shape == (fine.g_mesh.n_vertices,)
+    assert uc.shape == (coarse.g_mesh.n_vertices,)
     # same event, different discretizations: strongly correlated at the
     # shared vertex locations
-    inj = vertex_injection_map(ctx.g_coarse, ctx.g_mesh)
+    inj = vertex_injection_map(coarse.g_mesh, fine.g_mesh)
     r = np.corrcoef(uf[inj], uc)[0, 1]
     assert r > 0.95
     uf2, uc2 = sample_fields(ctx, seed=9, m=0, n=0)
@@ -186,8 +189,8 @@ def test_sample_noise_deterministic():
     f2, c2 = sample_noise(ctx, seed=11, m=0, n=3)
     np.testing.assert_array_equal(f1, f2)
     np.testing.assert_array_equal(c1, c2)
-    assert f1.shape == (ctx.d_mesh.n_vertices,)
-    assert c1.shape == (ctx.d_coarse.n_vertices,)
+    assert f1.shape == (ctx.spaces[0].d_mesh.n_vertices,)
+    assert c1.shape == (ctx.spaces[1].d_mesh.n_vertices,)
 
 
 def test_sample_noise_matches_sampler_draw_path():

@@ -113,17 +113,20 @@ def test_transform_tables_match_per_cell_lookup(dim, level):
     np.testing.assert_array_equal(lay.H.toarray(), ref)
 
 
-def test_layout_index_of_rejects_unknown_coefficients():
-    lay = build_layout(2, 2)
-    for l, n in [((3, 0), (0, 0)), ((-2, 0), (0, 0)), ((1, 1), (2, 0)), ((0, 0), (-1, 0))]:
-        with pytest.raises(KeyError):
-            lay.index_of(l, n)
-
-
-def test_layout_index_of_is_inverse():
-    lay = build_layout(2, 1)
-    for i, (l, n) in enumerate(zip(lay.levels, lay.shifts)):
-        assert lay.index_of(l, n) == i
+@pytest.mark.parametrize("dim,level", [(1, 3), (2, 1), (2, 3)])
+def test_layout_blocks_are_contiguous_in_shift_order(dim, level):
+    # the Haar transform finds coefficient (l, n) at the first index of l's
+    # block plus the C-order rank of n among that block's shifts
+    lay = build_layout(dim, level)
+    pairs = zip(lay.levels.tolist(), lay.shifts.tolist())
+    lookup = {(tuple(l), tuple(n)): i for i, (l, n) in enumerate(pairs)}
+    assert len(lookup) == lay.total_dim
+    first = {}
+    for (l, _), i in sorted(lookup.items(), key=lambda kv: kv[1]):
+        first.setdefault(l, i)
+    for (l, n), i in lookup.items():
+        shape = tuple(1 << max(li, 0) for li in l)
+        assert i == first[l] + np.ravel_multi_index(n, shape)
 
 
 # -------------------------------------------------------- haar cell values
@@ -389,7 +392,7 @@ def test_single_space_draw_has_no_coarse():
     ctx = build_level_contexts(1, [2], [1], PARAMS_1D)[0]
     b_fine, b_coarse = sample_noise(ctx, 2, 0, 0)
     assert b_coarse is None
-    assert b_fine.shape == (ctx.d_mesh.n_vertices,)
+    assert b_fine.shape == (ctx.spaces[0].d_mesh.n_vertices,)
 
 
 # ------------------------------------------------------- coupling check
