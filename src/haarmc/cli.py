@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -100,6 +102,15 @@ def _require(cond, path, message):
         raise ConfigError(path, message)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite int or float; bool counts as neither."""
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
 def parse_config(data: dict) -> RunConfig:
     """Dict (parsed JSON) to a validated RunConfig."""
     _require(isinstance(data, dict), "config", "must be a JSON object")
@@ -122,6 +133,23 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    for path, value in (
+        ("dim", cfg.dim),
+        ("M", cfg.M),
+        ("seed", cfg.seed),
+        ("L_min", cfg.L_min),
+        ("N_init", cfg.N_init),
+        ("N_screen", cfg.N_screen),
+    ):
+        _require(_is_int(value), path, "must be an integer")
+    for path, value in (
+        ("theta", cfg.theta),
+        ("matern.lambda", cfg.matern.lam),
+        ("matern.mean", cfg.matern.mean),
+        ("matern.variance", cfg.matern.variance),
+        ("matern.mean_shift", cfg.matern.mean_shift),
+    ):
+        _require(_is_real(value), path, "must be a finite number")
     _require(cfg.dim in (1, 2), "dim", "must be 1 or 2")
     _require(
         isinstance(cfg.mesh_levels, list) and len(cfg.mesh_levels) > 0,
@@ -129,7 +157,7 @@ def validate_config(cfg: RunConfig) -> None:
         "must be a non-empty list",
     )
     _require(
-        all(isinstance(v, int) and v >= 1 for v in cfg.mesh_levels),
+        all(_is_int(v) and v >= 1 for v in cfg.mesh_levels),
         "mesh_levels",
         "entries must be integers >= 1",
     )
@@ -145,7 +173,7 @@ def validate_config(cfg: RunConfig) -> None:
         "must match mesh_levels in length",
     )
     _require(
-        all(isinstance(v, int) and v >= -1 for v in cfg.haar_levels),
+        all(_is_int(v) and v >= -1 for v in cfg.haar_levels),
         "haar_levels",
         "entries must be integers >= -1",
     )
@@ -161,7 +189,12 @@ def validate_config(cfg: RunConfig) -> None:
         ok = (
             isinstance(box, list)
             and len(box) == 2
-            and all(isinstance(side, list) and len(side) == cfg.dim for side in box)
+            and all(
+                isinstance(side, list)
+                and len(side) == cfg.dim
+                and all(_is_real(v) for v in side)
+                for side in box
+            )
             and all(b > a for a, b in zip(box[0], box[1]))
         )
         _require(ok, name, "must be [lo, hi] coordinate lists with lo < hi")
@@ -176,6 +209,7 @@ def validate_config(cfg: RunConfig) -> None:
         _require(cfg.matern.variance > 0, "matern.variance", "must be positive")
     else:
         _require(cfg.matern.sigma is not None, "matern.sigma", "required")
+        _require(_is_real(cfg.matern.sigma), "matern.sigma", "must be a finite number")
         _require(cfg.matern.sigma >= 0, "matern.sigma", "must be non-negative")
     _require(
         cfg.estimator in ("qmc", "mlmc", "mlqmc"),
@@ -185,16 +219,16 @@ def validate_config(cfg: RunConfig) -> None:
     _require(isinstance(cfg.eps, list) and cfg.eps, "eps", "must be a non-empty list")
     for i, e in enumerate(cfg.eps):
         _require(
-            isinstance(e, (int, float)) and e > 0, f"eps[{i}]", "must be positive"
+            _is_real(e) and e > 0, f"eps[{i}]", "must be positive"
         )
     _require(0.0 < cfg.theta < 1.0, "theta", "must lie in (0, 1)")
-    _require(isinstance(cfg.M, int) and cfg.M >= 2, "M", "must be an integer >= 2")
-    _require(isinstance(cfg.seed, int) and cfg.seed >= 0, "seed", "must be >= 0")
+    _require(cfg.M >= 2, "M", "must be an integer >= 2")
+    _require(cfg.seed >= 0, "seed", "must be >= 0")
     _require(cfg.cost_model in ("dofs", "wall"), "cost_model", "'dofs' or 'wall'")
-    _require(isinstance(cfg.L_min, int) and cfg.L_min >= 1, "L_min", "must be >= 1")
+    _require(cfg.L_min >= 1, "L_min", "must be >= 1")
     if cfg.L_max is not None:
         _require(
-            isinstance(cfg.L_max, int) and cfg.L_max >= cfg.L_min,
+            _is_int(cfg.L_max) and cfg.L_max >= cfg.L_min,
             "L_max",
             "must be >= L_min",
         )
@@ -202,11 +236,12 @@ def validate_config(cfg: RunConfig) -> None:
     _require(cfg.N_screen >= 16, "N_screen", "must be >= 16")
     _require(
         isinstance(cfg.N_list, list)
-        and all(isinstance(n, int) and n >= 1 and not (n & (n - 1)) for n in cfg.N_list),
+        and all(_is_int(n) and n >= 1 and not (n & (n - 1)) for n in cfg.N_list),
         "N_list",
         "entries must be powers of two",
     )
     _require(isinstance(cfg.synthetic, bool), "synthetic", "must be a boolean")
+    _require(isinstance(cfg.out, str), "out", "must be a string")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -261,24 +296,33 @@ def _synthetic_samplers(n_levels: int) -> List[LevelSampler]:
     return [make(ell) for ell in range(n_levels)]
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_map(fn, items, threads: int):
-    """[fn(x) for x in items], run by up to `threads` worker processes.
+    """[fn(x) for x in items], run by up to `threads` worker processes, and
+    no more than there are items or usable cores.
 
     The workers are forked after the caller has built everything fn reads,
     so they inherit fn and items instead of receiving them pickled: only
     slice numbers go out, and results come back and are put in item order.
     An exception raised by fn reaches the caller with its own type, a
     worker that dies raises BrokenProcessPool, and the workers are joined
-    on every path. With one thread, one item, or no `fork` start method on
-    the platform, the map runs serially in this process.
+    on every path. With one worker, or no `fork` start method on the
+    platform, the map runs serially in this process.
     """
-    if threads > 1 and len(items) > 1:
+    workers = min(threads, len(items), _usable_cores())
+    if workers > 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
-            workers = min(threads, len(items))
             # Interleaved slices items[k::stride]: each mixes all levels of
             # a level-major task list, so slices cost about the same, and
             # four per worker leave room to rebalance on a busy host while

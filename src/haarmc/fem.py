@@ -207,19 +207,31 @@ class _BandCholesky:
         self.n = n
 
     def factor(self, data: np.ndarray) -> np.ndarray:
-        """Band Cholesky factor of the matrix with this pattern and `data`."""
-        ab = np.zeros((self.n, self.w + 1))
-        ab.flat[self.flat] = data[self.up]
-        c, info = dpbtrf(ab.T, lower=0, overwrite_ab=1)
+        """Band Cholesky factor of the B matrices with this pattern whose
+        data are the rows of `data` (B, nnz), or of the one matrix of a
+        1-D `data`.
+
+        The matrices are the diagonal blocks of one matrix of order B * n:
+        the blocks do not couple, so its band has the same width and one
+        LAPACK call factors them all. Raises np.linalg.LinAlgError if any
+        of them is not positive definite.
+        """
+        data = np.atleast_2d(data)
+        ab = np.zeros((len(data), self.n * (self.w + 1)))
+        ab[:, self.flat] = data[:, self.up]
+        c, info = dpbtrf(ab.reshape(-1, self.w + 1).T, lower=0, overwrite_ab=1)
         if info != 0:
             raise np.linalg.LinAlgError("matrix is not positive definite")
         return c
 
     def solve(self, c: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Solve with the factor c; b is a vector or an (n, k) matrix."""
-        x, _ = dpbtrs(c, b[self.order], overwrite_b=1)
+        """Solve with a factor from `factor`; b holds the B blocks' right-hand
+        sides one after another, as a vector or as matrix columns."""
+        blocks = c.shape[1] // self.n
+        order = (np.arange(blocks)[:, None] * self.n + self.order).ravel()
+        x, _ = dpbtrs(c, b[order], overwrite_b=1)
         out = np.empty_like(x)
-        out[self.order] = x
+        out[order] = x
         return out
 
 
@@ -265,8 +277,8 @@ class DiffusionSolver:
     grad(phi_i) . grad(phi_j) with the boundary rows and columns dropped.
     A chunk of B samples then assembles all its matrices with one product,
     weights @ W, in the arithmetic of assemble_lognormal_diffusion, and
-    factors and solves each sample's matrix with the banded Cholesky of
-    factorized_spd, whose ordering and band layout are also built once.
+    factors and solves them with one stacked banded Cholesky (the path of
+    factorized_spd, whose ordering and band layout are also built once).
     The interior mass matrix has the same pattern and is kept as CSC data
     for `norm_sq`.
     Nothing is mutated after construction, so threads may share a solver.
@@ -306,6 +318,8 @@ class DiffusionSolver:
         )
         self.load = assemble_load(mesh)[interior]
         self._band = _BandCholesky(self.indptr, self.indices, n)
+        # floats of one sample's share of a stacked band factor
+        self.factor_floats = n * (self._band.w + 1)
 
     def matrix_data(self, u: np.ndarray, shift: float = 0.0) -> np.ndarray:
         """CSC data of K for each row of nodal values u, shape (B, nnz)."""
@@ -320,10 +334,8 @@ class DiffusionSolver:
         if u.ndim != 2:
             raise ValueError("u must have shape (batch, n_vertices)")
         data = self.matrix_data(u, shift)
-        band = self._band
-        p = np.empty((u.shape[0], self.n))
-        for b, row in enumerate(data):
-            p[b] = band.solve(band.factor(row), self.load)
+        c = self._band.factor(data)
+        p = self._band.solve(c, np.tile(self.load, len(data))).reshape(len(data), self.n)
         r = self._apply(data, p) - self.load
         if np.any(np.linalg.norm(r, axis=1) > RESIDUAL_RTOL * np.linalg.norm(self.load)):
             raise ConvergenceError("diffusion solve residual above tolerance")

@@ -18,6 +18,7 @@ __all__ = [
     "SobolGenerator",
     "DigitalShift",
     "RandomStream",
+    "StreamChunk",
     "sobol_points",
     "shifted_point",
     "safe_uniform",
@@ -92,7 +93,7 @@ class SobolGenerator:
                 f"is {self.MAX_DIM})"
             )
         self.dim = dim
-        self._v = _directions(dim).copy()
+        self._v = _directions(dim)  # a view of the shared table, read only
 
     def integers(self, n) -> np.ndarray:
         """32-bit integer lattice points for sample index array n."""
@@ -248,11 +249,148 @@ def inverse_normal_cdf(u) -> np.ndarray:
     return x[0] if scalar else x
 
 
+# numpy's SeedSequence hash (pool of four 32-bit words) and PCG64's 128-bit
+# set-seq seeding, reproduced so a chunk of streams opens in one pass.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mix_entropy's hash constant
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state's
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# for each source word of the all-pairs mixing step, the other pool words
+_OTHER_POOL_WORDS = [
+    np.array([i for i in range(_POOL_SIZE) if i != src]) for src in range(_POOL_SIZE)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^k mod 2^32 for k = 0..count, as a (count + 1, 1) column:
+    the hash constant before and after each of count hash calls. Cached,
+    so read only."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    column = np.array(out, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _int_words(x: int) -> list:
+    """The 32-bit entropy words of a non-negative int, least significant
+    first, as SeedSequence splits it (0 gives one word)."""
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _hashmix(v: np.ndarray, const: np.ndarray, k: int, count: int) -> np.ndarray:
+    """Hash calls k..k+count-1 of SeedSequence on v, one per row of the
+    result; const is from _hash_constants."""
+    h = v ^ const[k : k + count]
+    h *= const[k + 1 : k + count + 1]
+    h ^= h >> _SHIFT
+    return h
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L
+    r -= y * _MIX_R
+    r ^= r >> _SHIFT
+    return r
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) for each row of the
+    (B, W) uint32 entropy words, W >= 4.
+
+    The pool is mixed as numpy's SeedSequence.mix_entropy does, with the
+    sample axis last. The hash constant steps once per hash call whatever
+    the data, so the hashes of one word into several pool words are one
+    (k, B) step.
+    """
+    n_words = entropy.shape[1]
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (n_words + _POOL_SIZE - 1))
+    # pool word i is hash call i of entropy word i
+    pool = _hashmix(entropy[:, :_POOL_SIZE].T, a, 0, _POOL_SIZE)
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = _OTHER_POOL_WORDS[src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a, k, _POOL_SIZE - 1))
+        k += _POOL_SIZE - 1
+    for src in range(_POOL_SIZE, n_words):
+        pool = _mix(pool, _hashmix(entropy[:, src], a, k, _POOL_SIZE))
+        k += _POOL_SIZE
+    # generate_state(4, uint64): eight 32-bit words, cycling over the pool
+    b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    words = _hashmix(np.concatenate([pool, pool]), b, 0, 2 * _POOL_SIZE)
+    # little-endian pairs of 32-bit words are the 64-bit state words
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_seeded(s0: int, s1: int, i0: int, i1: int) -> tuple:
+    """(state, inc) of a PCG64 seeded with the four 64-bit words of
+    generate_state(4, np.uint64): the set-seq step of pcg64_set_seed."""
+    inc = (((i0 << 64) | i1) << 1 | 1) & _MASK128
+    return ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+class StreamChunk:
+    """The streams (seed, level, m, n, purpose) for n = n0..n1-1, opened at
+    once.
+
+    Stream n is the PCG64 generator numpy seeds from
+    SeedSequence((seed, level + 1, m, n, purpose)); the chunk hashes all
+    n of the chunk together and keeps one PCG64 and Generator, which
+    `select(n)` sets to the start of stream n. Sample indices must lie
+    below 2^64. A chunk carries generator state, so threads must not share
+    one.
+    """
+
+    def __init__(self, seed: int, level: int, m: int, n0: int, n1: int, purpose: int):
+        if seed < 0 or level < -1 or m < 0 or purpose < 0 or not 0 <= n0 <= n1 <= 2**64:
+            raise ValueError("stream path components out of range")
+        head = _int_words(seed) + _int_words(level + 1) + _int_words(m)
+        tail = _int_words(purpose)
+        # indices from 2^32 on split into two entropy words, not one
+        split = min(max(n0, 2**32), n1)
+        self._n0 = n0
+        self._states = []
+        for lo, hi, n_words in ((n0, split, 1), (split, n1, 2)):
+            if lo == hi:
+                continue
+            n = np.arange(lo, hi, dtype=np.uint64)
+            entropy = np.empty((hi - lo, len(head) + n_words + len(tail)), dtype=np.uint32)
+            entropy[:, : len(head)] = head
+            for k in range(n_words):
+                entropy[:, len(head) + k] = n >> np.uint64(32 * k) & np.uint64(_MASK32)
+            entropy[:, len(head) + n_words :] = tail
+            self._states += [_pcg64_seeded(*row) for row in _seed_state(entropy).tolist()]
+        self._bits = np.random.PCG64(0)
+        self.generator = np.random.Generator(self._bits)
+
+    def select(self, n: int) -> None:
+        """Set `generator` to the start of stream n."""
+        state, inc = self._states[n - self._n0]
+        self._bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
 @dataclass(frozen=True)
 class RandomStream:
     """Counter-based stream: the tuple (seed, level, m, n, purpose) is fed
     through SeedSequence into a fresh 64-bit PCG64 state, so draws are
-    reproducible under any execution order."""
+    reproducible under any execution order. The one-stream case of
+    StreamChunk."""
 
     seed: int
     level: int = 0
@@ -261,17 +399,17 @@ class RandomStream:
     purpose: int = PURPOSE_NOISE
 
     def __post_init__(self):
-        if self.seed < 0 or self.level < -1 or self.m < 0 or self.n < 0:
+        if self.seed < 0 or self.level < -1 or self.m < 0 or not 0 <= self.n < 2**64:
             raise ValueError("stream path components out of range")
 
     @functools.cached_property
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            (self.seed, self.level + 1, self.m, self.n, self.purpose)
-        )
-        return np.random.Generator(np.random.PCG64(ss))
+        chunk = StreamChunk(self.seed, self.level, self.m, self.n, self.n + 1, self.purpose)
+        chunk.select(self.n)
+        return chunk.generator
 
 
-def normal_vector(stream: RandomStream, k: int) -> np.ndarray:
-    """k iid standard normals from the stream."""
+def normal_vector(stream, k: int) -> np.ndarray:
+    """k iid standard normals from a stream's generator (a RandomStream, or
+    a StreamChunk set to one of its streams)."""
     return stream.generator.standard_normal(k)

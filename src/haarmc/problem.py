@@ -18,10 +18,12 @@ import numpy as np
 from . import fem
 from .fem import MaternParams
 from .lowdisc import (
+    PURPOSE_NOISE,
     PURPOSE_SHIFT,
     DigitalShift,
     RandomStream,
     SobolGenerator,
+    StreamChunk,
     inverse_normal_cdf,
     normal_vector,
     safe_uniform,
@@ -116,6 +118,7 @@ class LevelContext:
             self.layout.total_dim
             + self.tables.cell_block_size
             + 4 * self.spaces[0].d_mesh.n_vertices
+            + sum(s.diffusion.factor_floats for s in self.spaces)
         )
         return max(1, CHUNK_FLOAT_BUDGET // per_sample)
 
@@ -193,11 +196,12 @@ def _draw_inputs(
         pts = shifted_point(sobol_points(gen, np.arange(n0, n1)), shift)
         z[:, : lay.qmc_dim] = inverse_normal_cdf(safe_uniform(pts))
         q = lay.qmc_dim
+    streams = StreamChunk(seed, ctx.position, m, n0, n1, PURPOSE_NOISE)
     for i in range(B):
-        stream = RandomStream(seed, ctx.position, m, n0 + i)
+        streams.select(n0 + i)
         if q < lay.total_dim:
-            z[i, q:] = normal_vector(stream, lay.total_dim - q)
-        zc[i] = normal_vector(stream, zc.shape[1])
+            z[i, q:] = normal_vector(streams, lay.total_dim - q)
+        zc[i] = normal_vector(streams, zc.shape[1])
     return z, zc.reshape(B, ctx.tables.n_cells, ctx.tables.dim + 1)
 
 
@@ -256,8 +260,13 @@ def _make_sampler(ctx, seed, use_qmc, wall):
             timing["samples"] += samples
             sampler.cost = timing["seconds"] / timing["samples"]
 
+    # replicate m's Sobol' generator and digital shift serve all its batches
+    drivers = {}
+
     def batch(m: int, n0: int, n1: int) -> np.ndarray:
-        gen, shift = _qmc_driver(ctx, seed, m, use_qmc)
+        if m not in drivers:
+            drivers[m] = _qmc_driver(ctx, seed, m, use_qmc)
+        gen, shift = drivers[m]
         t0 = time.perf_counter()
         y = _y_batch(ctx, seed, m, n0, n1, gen, shift)
         if wall:

@@ -21,6 +21,9 @@ HOOKED = [
     "whitenoise.noise_map",
     "fem.factorize",
     "fem.matern_field",
+    "lowdisc.normal",
+    "lowdisc.sobol",
+    "lowdisc.inv_cdf",
 ]
 
 

@@ -73,6 +73,21 @@ def test_config_round_trip():
         ({"M": 1}, "M"),
         ({"N_list": [3]}, "N_list"),
         ({"L_min": 3, "L_max": 2}, "L_max"),
+        ({"matern": {"lambda": "0.3"}}, "matern.lambda"),
+        ({"matern": {"mean_shift": "0.1"}}, "matern.mean_shift"),
+        ({"matern": {"mode": "explicit", "sigma": True}}, "matern.sigma"),
+        ({"theta": "0.5"}, "theta"),
+        ({"theta": float("nan")}, "theta"),
+        ({"theta": 10**400}, "theta"),
+        ({"N_screen": "16"}, "N_screen"),
+        ({"N_screen": 16.5}, "N_screen"),
+        ({"dim": True}, "dim"),
+        ({"M": 4.0}, "M"),
+        ({"mesh_levels": [1, True]}, "mesh_levels"),
+        ({"eps": [True]}, "eps[0]"),
+        ({"L_max": 3.0}, "L_max"),
+        ({"g_box": [["0"], ["1"]], "dim": 1}, "g_box"),
+        ({"out": 7}, "out"),
     ],
 )
 def test_config_validation_paths(data, path):
@@ -93,6 +108,9 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     assert "config error at dim" in err
     cfg_ok = write_config(tmp_path)
     assert main(["screen", "--config", str(cfg_ok), "--threads", "0"]) == 2
+    cfg = write_config(tmp_path, matern={"lambda": "0.3"})
+    assert main(["screen", "--config", str(cfg)]) == 2
+    assert "config error at matern.lambda" in capsys.readouterr().err
 
 
 def test_screen_reruns_are_byte_identical(tmp_path):
@@ -154,7 +172,9 @@ def test_worker_errors_reach_the_caller(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_pool_map_raises_when_a_worker_dies():
+def test_pool_map_raises_when_a_worker_dies(monkeypatch):
+    # two usable cores, so the pool forks workers even on a one-core host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     parent = os.getpid()
 
     def fn(x):
@@ -166,6 +186,21 @@ def test_pool_map_raises_when_a_worker_dies():
         _pool_map(fn, [0, 1, 2, 3], 2)
     assert multiprocessing.active_children() == []
     assert _pool_map(fn, [0, 1, 2, 3], 1) == [0, 10, 20, 30]
+
+
+def test_pool_map_runs_serially_on_one_usable_core(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    parent = os.getpid()
+    got = _pool_map(lambda x: (os.getpid(), 10 * x), [0, 1, 2, 3], 4)
+    assert got == [(parent, 0), (parent, 10), (parent, 20), (parent, 30)]
+    cfg = write_config(tmp_path)
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["screen", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
+        outs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outs["2"] == outs["1"]
+    assert multiprocessing.active_children() == []
 
 
 def test_screen_seed_override_changes_rows(tmp_path):

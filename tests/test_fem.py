@@ -23,7 +23,8 @@ from haarmc.fem import (
     restrict_interior,
     solve_spd,
 )
-from haarmc.mesh import Box, SimplicialMesh, build_uniform_mesh
+from haarmc.mesh import Box, SimplicialMesh, build_hierarchy, build_uniform_mesh
+from haarmc.problem import default_d_box, default_g_box
 import oracles
 from oracles import functional_l2sq, transfer_field
 
@@ -313,6 +314,48 @@ def test_diffusion_solver_matches_per_sample_path(name, batch):
         ref = oracles.splu_solve(K, load)
         assert np.max(np.abs(p[b] - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert solver.norm_sq(p[b : b + 1])[0] == pytest.approx(ref @ (M @ ref), rel=1e-12)
+
+
+# the default configs' hierarchies: 1D mesh levels 1..6, 2D 1..5
+DEFAULT_HIERARCHIES = {1: [1, 2, 3, 4, 5, 6], 2: [1, 2, 3, 4, 5]}
+
+
+@pytest.mark.parametrize("dim", sorted(DEFAULT_HIERARCHIES))
+def test_stacked_diffusion_solve_matches_per_sample_factorizations(dim):
+    levels = DEFAULT_HIERARCHIES[dim]
+    hier = build_hierarchy(
+        default_g_box(dim), default_d_box(dim), dim, levels, [3] * len(levels)
+    )
+    rng = np.random.default_rng(dim)
+    for g, _, _ in hier.levels:
+        solver = DiffusionSolver(g)
+        band, n = solver._band, solver.n
+        u = 0.7 * rng.standard_normal((9, g.n_vertices))
+        p = solver.solve(u, -0.1)
+        data = solver.matrix_data(u, -0.1)
+        c = band.factor(data)
+        for b, row in enumerate(data):
+            np.testing.assert_array_equal(c[:, b * n : (b + 1) * n], band.factor(row))
+            K = sp.csc_matrix((row, solver.indices, solver.indptr), shape=(n, n))
+            ref = factorized_spd(K)(solver.load)
+            if band.w < 16:
+                np.testing.assert_array_equal(p[b], ref)
+            else:
+                # OpenBLAS's ddot sums the first 16 terms of a longer dot in
+                # SIMD lanes; at a block's first rows the stacked triangular
+                # solve's dots carry leading zeros, so from band width 16 on
+                # (2D mesh level 5) the terms group differently
+                np.testing.assert_allclose(p[b], ref, rtol=1e-14, atol=0)
+
+
+def test_stacked_factor_rejects_an_indefinite_matrix_mid_chunk():
+    for mesh in (build_uniform_mesh(Box((-0.5,), (0.5,)), 1, 16), build_uniform_mesh(G2, 2, 8)):
+        solver = DiffusionSolver(mesh)
+        data = solver.matrix_data(np.zeros((5, mesh.n_vertices)))
+        solver._band.factor(data)
+        data[2] *= -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            solver._band.factor(data)
 
 
 def test_diffusion_solver_rows_do_not_depend_on_the_batch():

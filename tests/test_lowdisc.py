@@ -5,6 +5,8 @@ statistical ones; the statistical checks at the bottom run with pinned
 seeds so the suite stays deterministic.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from haarmc.lowdisc import (
     DigitalShift,
     RandomStream,
     SobolGenerator,
+    StreamChunk,
     inverse_normal_cdf,
     normal_vector,
     safe_uniform,
@@ -170,6 +173,74 @@ def test_stream_rejects_bad_path():
         RandomStream(-1)
     with pytest.raises(ValueError):
         RandomStream(0, n=-2)
+
+
+def _seed_sequence(seed, level, m, n, purpose):
+    """The SeedSequence a stream's tuple names: numpy's, the oracle."""
+    return np.random.SeedSequence((seed, level + 1, m, n, purpose))
+
+
+def _stream_tuples():
+    edges = [
+        (seed, level, m, n, purpose)
+        for seed in (0, 2**32 - 1, 2**32, 2**64 + 1)
+        for level, m in ((-1, 0), (0, 0), (5, 2**32 - 1))
+        for n in (0, 2**32 - 1, 2**32, 2**64 - 1)
+        for purpose in (PURPOSE_SHIFT, PURPOSE_NOISE)
+    ]
+    rng = random.Random(7)
+    randoms = [
+        (
+            rng.getrandbits(rng.choice([1, 31, 32, 33, 64, 70])),
+            rng.randrange(-1, 40),
+            rng.getrandbits(rng.choice([1, 8, 33])),
+            rng.getrandbits(rng.choice([1, 31, 32, 40, 64])),
+            rng.randrange(0, 2**rng.choice([2, 32, 35])),
+        )
+        for _ in range(300)
+    ]
+    return edges + randoms
+
+
+def test_stream_hash_and_pcg64_state_match_numpy():
+    for t in _stream_tuples():
+        ss = _seed_sequence(*t)
+        seed, level, m, n, purpose = t
+        words = [
+            w for v in (seed, level + 1, m, n, purpose) for w in lowdisc._int_words(v)
+        ]
+        state = lowdisc._seed_state(np.array([words], dtype=np.uint32))
+        np.testing.assert_array_equal(state[0], ss.generate_state(4, np.uint64), str(t))
+        chunk = StreamChunk(seed, level, m, n, n + 1, purpose)
+        chunk.select(n)
+        assert chunk._bits.state == np.random.PCG64(ss).state, t
+
+
+def test_stream_chunk_crossing_2_32_matches_numpy_draws():
+    # the chunk holds one- and two-word sample indices
+    n0 = 2**32 - 5
+    chunk = StreamChunk(2**64 + 1, -1, 0, n0, n0 + 11, PURPOSE_NOISE)
+    for n in (n0 + 10, n0, n0 + 5, n0 + 4):  # any order, and revisits
+        chunk.select(n)
+        ref = np.random.Generator(np.random.PCG64(_seed_sequence(2**64 + 1, -1, 0, n, 2)))
+        np.testing.assert_array_equal(
+            normal_vector(chunk, 7), ref.standard_normal(7), str(n)
+        )
+
+
+def test_random_stream_is_the_one_stream_chunk():
+    for t in _stream_tuples()[:50]:
+        draws = normal_vector(RandomStream(*t), 5)
+        ref = np.random.Generator(np.random.PCG64(_seed_sequence(*t)))
+        np.testing.assert_array_equal(draws, ref.standard_normal(5), str(t))
+
+
+def test_stream_chunk_rejects_bad_ranges():
+    for args in ((0, 0, 0, 5, 4, 2), (0, 0, 0, 0, 2**64 + 1, 2), (-1, 0, 0, 0, 1, 2)):
+        with pytest.raises(ValueError):
+            StreamChunk(*args)
+    with pytest.raises(ValueError):
+        RandomStream(0, n=2**64)
 
 
 def test_normal_vector_mean():

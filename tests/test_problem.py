@@ -9,6 +9,14 @@ import pytest
 
 from haarmc import fem, problem
 from haarmc.fem import MaternParams
+from haarmc.lowdisc import (
+    RandomStream,
+    inverse_normal_cdf,
+    normal_vector,
+    safe_uniform,
+    shifted_point,
+    sobol_points,
+)
 from haarmc.mesh import vertex_injection_map
 from haarmc.problem import (
     build_level_contexts,
@@ -203,6 +211,48 @@ def test_sample_noise_matches_sampler_draw_path():
         f, c = sample_noise(ctx, seed=4, m=2, n=n, use_qmc=True)
         np.testing.assert_array_equal(f, bs[0][n])
         np.testing.assert_array_equal(c, bs[1][n])
+
+
+@pytest.mark.parametrize("use_qmc", [True, False])
+def test_draw_inputs_match_per_sample_streams_at_any_chunking(use_qmc):
+    ctx = build_level_contexts(2, [1, 2], [2, 2], PARAMS_2D)[1]
+    seed, m, count = 3, 5, 32
+    gen, shift = problem._qmc_driver(ctx, seed, m, use_qmc)
+    q = ctx.layout.qmc_dim if use_qmc else 0
+    k = ctx.layout.total_dim - q
+    # oracle: one RandomStream per sample, as every sample is defined
+    ref_z = np.empty((count, k))
+    ref_zc = np.empty((count, ctx.tables.cell_block_size))
+    for n in range(count):
+        stream = RandomStream(seed, ctx.position, m, n)
+        ref_z[n] = normal_vector(stream, k)
+        ref_zc[n] = normal_vector(stream, ref_zc.shape[1])
+    for step in (1, 7, 32):
+        parts = [
+            problem._draw_inputs(ctx, seed, m, a, min(a + step, count), gen, shift)
+            for a in range(0, count, step)
+        ]
+        z = np.vstack([p[0] for p in parts])
+        zc = np.vstack([p[1] for p in parts])
+        np.testing.assert_array_equal(z[:, q:], ref_z)
+        np.testing.assert_array_equal(zc.reshape(count, -1), ref_zc)
+        if use_qmc:
+            pts = shifted_point(sobol_points(gen, np.arange(count)), shift)
+            np.testing.assert_array_equal(z[:, :q], inverse_normal_cdf(safe_uniform(pts)))
+
+
+def test_batches_of_one_replicate_share_its_digital_shift(monkeypatch):
+    ctx = build_level_contexts(1, [2, 3], [1, 1], PARAMS_1D)[1]
+    sampler = make_level_samplers([ctx], seed=1)[0]
+    calls = []
+    driver = problem._qmc_driver
+    monkeypatch.setattr(
+        problem, "_qmc_driver", lambda *a: calls.append(a[2]) or driver(*a)
+    )
+    y = np.concatenate([sampler.batch(3, 0, 2), sampler.batch(3, 2, 8), sampler.batch(0, 0, 8)])
+    assert calls == [3, 0]
+    whole = make_level_samplers([ctx], seed=1)[0]
+    np.testing.assert_array_equal(y, np.concatenate([whole.batch(3, 0, 8), whole.batch(0, 0, 8)]))
 
 
 def test_contexts_share_one_layout_per_haar_level():
