@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .fem import MaternParams
@@ -583,7 +582,6 @@ def _prepare_out(cfg: RunConfig, command: str) -> Path:
         "versions": {
             "haarmc": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": "%d.%d" % sys.version_info[:2],
         },
     }

@@ -5,21 +5,27 @@ are applied by restricting to interior rows and columns, which keeps the
 systems symmetric positive definite. Every system, in 1D and 2D, is solved
 by one banded Cholesky factorisation (LAPACK pbtrf/pbtrs) in reverse
 Cuthill-McKee order, and every solve checks its residual.
+
+LAPACK is called through ctypes from the OpenBLAS that numpy's wheels
+bundle (`numpy.libs/libscipy_openblas64_*`, or `numpy/.dylibs` on macOS),
+so importing this module loads no scipy. Where that library or its
+symbols are missing, as on conda or MKL builds of numpy, the same two
+routines come from `scipy.linalg.lapack`, imported on first use.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.special import gamma as _gamma
 
 from .mesh import SimplicialMesh, cell_volumes
+from .sparse import SparseOperator
 
 __all__ = [
     "MaternParams",
@@ -77,7 +83,7 @@ class MaternParams:
             sigma
             * kappa ** (-dim / 2.0)
             * (4.0 * math.pi) ** (dim / 4.0)
-            * math.sqrt(_gamma(nu + dim / 2.0) / _gamma(nu))
+            * math.sqrt(math.gamma(nu + dim / 2.0) / math.gamma(nu))
         )
         return cls(sigma, lam, dim, nu, kappa, eta, mean_shift)
 
@@ -111,14 +117,11 @@ def _local_arrays(mesh: SimplicialMesh):
     return vols, grads
 
 
-def _scatter(mesh: SimplicialMesh, local: np.ndarray) -> sp.csr_matrix:
+def _scatter(mesh: SimplicialMesh, local: np.ndarray) -> SparseOperator:
     d1 = mesh.dim + 1
-    rows = np.repeat(mesh.cells, d1, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, d1)).ravel()
-    A = sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(mesh.n_vertices, mesh.n_vertices)
-    )
-    return A.tocsr()
+    rows = np.repeat(mesh.cells, d1, axis=1)
+    cols = np.tile(mesh.cells, (1, d1))
+    return SparseOperator(rows, cols, local, (mesh.n_vertices, mesh.n_vertices))
 
 
 def _reference_mass(d: int) -> np.ndarray:
@@ -126,14 +129,14 @@ def _reference_mass(d: int) -> np.ndarray:
     return (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
 
 
-def assemble_mass(mesh: SimplicialMesh) -> sp.csr_matrix:
+def assemble_mass(mesh: SimplicialMesh) -> SparseOperator:
     vols = cell_volumes(mesh)
     return _scatter(mesh, vols[:, None, None] * _reference_mass(mesh.dim)[None])
 
 
 def assemble_stiffness(
     mesh: SimplicialMesh, coeff: Optional[np.ndarray] = None
-) -> sp.csr_matrix:
+) -> SparseOperator:
     """Stiffness matrix, optionally weighted by piecewise-constant cell
     values `coeff`."""
     vols, grads = _local_arrays(mesh)
@@ -142,16 +145,18 @@ def assemble_stiffness(
     return _scatter(mesh, local)
 
 
-def assemble_helmholtz(mesh: SimplicialMesh, kappa: float) -> sp.csr_matrix:
+def assemble_helmholtz(mesh: SimplicialMesh, kappa: float) -> SparseOperator:
     """Mass plus kappa^{-2} stiffness, restricted to interior dofs (the
     homogeneous Dirichlet rows and columns are eliminated symmetrically)."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    full = assemble_mass(mesh) + assemble_stiffness(mesh) / kappa**2
-    return restrict_interior(full, mesh)
+    vols, grads = _local_arrays(mesh)
+    mass = vols[:, None, None] * _reference_mass(mesh.dim)
+    stiff = vols[:, None, None] * np.einsum("cik,cjk->cij", grads, grads)
+    return restrict_interior(_scatter(mesh, mass + stiff / kappa**2), mesh)
 
 
-def assemble_lognormal_diffusion(mesh: SimplicialMesh, u: np.ndarray) -> sp.csr_matrix:
+def assemble_lognormal_diffusion(mesh: SimplicialMesh, u: np.ndarray) -> SparseOperator:
     """Interior stiffness matrix with coefficient exp(u) evaluated at cell
     midpoints (one-point quadrature)."""
     coeff = np.exp(cell_midpoint_values(mesh, u))
@@ -169,9 +174,15 @@ def assemble_load(mesh: SimplicialMesh, value: float = 1.0) -> np.ndarray:
     return out
 
 
-def restrict_interior(A: sp.spmatrix, mesh: SimplicialMesh) -> sp.csr_matrix:
+def restrict_interior(A: SparseOperator, mesh: SimplicialMesh) -> SparseOperator:
+    """The interior rows and columns of a matrix over all vertices."""
     idx = mesh.interior_vertices
-    return A.tocsr()[idx][:, idx]
+    pos = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    pos[idx] = np.arange(idx.size)
+    rows = pos[np.repeat(np.arange(mesh.n_vertices), np.diff(A.indptr))]
+    cols = pos[A.indices]
+    keep = (rows >= 0) & (cols >= 0)
+    return SparseOperator(rows[keep], cols[keep], A.data[keep], (idx.size, idx.size))
 
 
 def embed_interior(x: np.ndarray, mesh: SimplicialMesh) -> np.ndarray:
@@ -180,6 +191,106 @@ def embed_interior(x: np.ndarray, mesh: SimplicialMesh) -> np.ndarray:
     out = np.zeros(x.shape[:-1] + (mesh.n_vertices,))
     out[..., mesh.interior_vertices] = x
     return out
+
+
+def _openblas_band_routines():
+    """dpbtrf and dpbtrs of the ILP64 OpenBLAS bundled in numpy's wheels,
+    as ctypes functions, or None when no such library or symbol is found.
+
+    Their Fortran interface takes every integer by reference as 64 bits and
+    ends with the hidden length of the character argument.
+    """
+    numpy_dir = Path(np.__file__).resolve().parent
+    libs = sorted(numpy_dir.parent.joinpath("numpy.libs").glob("libscipy_openblas64_*"))
+    libs += sorted(numpy_dir.joinpath(".dylibs").glob("libscipy_openblas64_*"))
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(str(path))
+            return lib.scipy_dpbtrf_64_, lib.scipy_dpbtrs_64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _band_lapack():
+    """The pair (pbtrf, pbtrs) behind every banded Cholesky.
+
+    pbtrf(ab) factors the upper band ab, (w + 1, n) in Fortran order, in
+    place and returns LAPACK's info; pbtrs(c, b) overwrites b, (n,) or
+    (n, k) in Fortran order, with the solution for the factor c. They call
+    numpy's bundled OpenBLAS, or scipy.linalg.lapack where it has none.
+    """
+    routines = _openblas_band_routines()
+    if routines is None:
+        from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+        def pbtrf(ab):
+            c, info = dpbtrf(ab, lower=0, overwrite_ab=1)
+            ab[...] = c
+            return info
+
+        def pbtrs(c, b):
+            b[...] = dpbtrs(c, b, overwrite_b=1)[0]
+
+        return pbtrf, pbtrs
+
+    trf, trs = routines
+    Int, ref, ptr = ctypes.c_int64, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    trf.argtypes = [ctypes.c_char_p, ref, ref, ptr, ref, ref, ctypes.c_size_t]
+    trs.argtypes = [ctypes.c_char_p, ref, ref, ref, ptr, ref, ptr, ref, ref, ctypes.c_size_t]
+    trf.restype = trs.restype = None
+
+    def fortran_doubles(a):
+        if a.dtype != np.float64 or not a.flags.f_contiguous or not a.flags.writeable:
+            raise ValueError("LAPACK operand must be a writeable Fortran-order float64 array")
+        return a.ctypes.data
+
+    def pbtrf(ab):
+        info = Int()
+        n, kd, ldab = Int(ab.shape[1]), Int(ab.shape[0] - 1), Int(ab.shape[0])
+        trf(b"U", n, kd, fortran_doubles(ab), ldab, info, 1)
+        return info.value
+
+    def pbtrs(c, b):
+        if b.shape[0] != c.shape[1]:
+            raise ValueError("right-hand side does not match the factor")
+        info = Int()
+        n, kd, ldab = Int(c.shape[1]), Int(c.shape[0] - 1), Int(c.shape[0])
+        nrhs = Int(b.shape[1] if b.ndim == 2 else 1)
+        trs(b"U", n, kd, nrhs, fortran_doubles(c), ldab, fortran_doubles(b), n, info, 1)
+
+    return pbtrf, pbtrs
+
+
+def _reverse_cuthill_mckee(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
+    """Reverse Cuthill-McKee order of a symmetric pattern (CSR, indices
+    ascending in each row), making the choices of scipy's
+    reverse_cuthill_mckee: a vertex's degree is its row's entry count; one
+    breadth-first pass per connected component starts at the unvisited
+    vertex of lowest degree (ties to the lower index); each vertex queues
+    its unvisited neighbours by ascending degree (ties to the lower index);
+    the whole order is reversed at the end."""
+    degree = np.diff(indptr)
+    rows = np.repeat(np.arange(n), degree)
+    neighbours = indices[np.lexsort((degree[indices], rows))].tolist()
+    ptr = indptr.tolist()
+    visited = [False] * n
+    order = []
+    for seed in np.argsort(degree, kind="stable").tolist():
+        if visited[seed]:
+            continue
+        visited[seed] = True
+        head = len(order)
+        order.append(seed)
+        while head < len(order):
+            i = order[head]
+            head += 1
+            for j in neighbours[ptr[i] : ptr[i + 1]]:
+                if not visited[j]:
+                    visited[j] = True
+                    order.append(j)
+    return np.array(order[::-1], dtype=np.int64)
 
 
 class _BandCholesky:
@@ -195,8 +306,7 @@ class _BandCholesky:
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, n: int):
-        pattern = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-        self.order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        self.order = _reverse_cuthill_mckee(indptr, indices, n)
         rank = np.empty(n, dtype=np.int64)
         rank[self.order] = np.arange(n)
         i = rank[np.repeat(np.arange(n), np.diff(indptr))]
@@ -219,8 +329,8 @@ class _BandCholesky:
         data = np.atleast_2d(data)
         ab = np.zeros((len(data), self.n * (self.w + 1)))
         ab[:, self.flat] = data[:, self.up]
-        c, info = dpbtrf(ab.reshape(-1, self.w + 1).T, lower=0, overwrite_ab=1)
-        if info != 0:
+        c = ab.reshape(-1, self.w + 1).T
+        if _band_lapack()[0](c) != 0:
             raise np.linalg.LinAlgError("matrix is not positive definite")
         return c
 
@@ -229,18 +339,18 @@ class _BandCholesky:
         sides one after another, as a vector or as matrix columns."""
         blocks = c.shape[1] // self.n
         order = (np.arange(blocks)[:, None] * self.n + self.order).ravel()
-        x, _ = dpbtrs(c, b[order], overwrite_b=1)
-        out = np.empty_like(x)
+        x = np.asfortranarray(b[order])
+        _band_lapack()[1](c, x)
+        out = np.empty(x.shape)
         out[order] = x
         return out
 
 
-def factorized_spd(A: sp.spmatrix) -> Callable:
+def factorized_spd(A: SparseOperator) -> Callable:
     """Return solve(b) for the SPD matrix A, factorized once (banded
     Cholesky); b may be a vector or a matrix of right-hand sides (columns).
     Raises np.linalg.LinAlgError if A is not positive definite. Every solve
     checks its residual."""
-    A = A.tocsr()
     band = _BandCholesky(A.indptr, A.indices, A.shape[0])
     c = band.factor(A.data)
 
@@ -262,7 +372,7 @@ def _check_residual(A, x, b):
         raise ConvergenceError("linear solve residual above tolerance")
 
 
-def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+def solve_spd(A: SparseOperator, b: np.ndarray) -> np.ndarray:
     return factorized_spd(A)(b)
 
 
@@ -271,16 +381,16 @@ class DiffusionSolver:
     stiffness matrix with coefficient exp(u + shift) at cell midpoints (the
     matrix of assemble_lognormal_diffusion), f the load of the unit source.
 
-    The pattern of K is fixed, so it is built once: the interior CSC
-    structure (`indptr`, `indices`) and a sparse map `W` from per-cell
-    weights vol * exp(u) to the CSC data, holding each cell's
-    grad(phi_i) . grad(phi_j) with the boundary rows and columns dropped.
-    A chunk of B samples then assembles all its matrices with one product,
-    weights @ W, in the arithmetic of assemble_lognormal_diffusion, and
-    factors and solves them with one stacked banded Cholesky (the path of
-    factorized_spd, whose ordering and band layout are also built once).
-    The interior mass matrix has the same pattern and is kept as CSC data
-    for `norm_sq`.
+    The pattern of K is fixed, so it is built once: the interior mass
+    matrix `mass`, whose CSR structure (`indptr`, `indices`) K shares, and
+    a sparse map `W` from per-cell weights vol * exp(u) to K's CSR data,
+    holding each cell's grad(phi_i) . grad(phi_j) with the boundary rows
+    and columns dropped. A chunk of B samples then assembles all its
+    matrices with one product, W @ weights, in the arithmetic of
+    assemble_lognormal_diffusion, and factors and solves them with one
+    stacked banded Cholesky (the path of factorized_spd, whose ordering and
+    band layout are also built once). The residual check applies each
+    sample's K through `mass`'s pattern; `norm_sq` applies `mass` itself.
     Nothing is mutated after construction, so threads may share a solver.
     """
 
@@ -293,28 +403,20 @@ class DiffusionSolver:
         pos[interior] = np.arange(n)
         d1 = mesh.dim + 1
         vols, grads = _local_arrays(mesh)
-        stiff = np.einsum("cik,cjk->cij", grads, grads)
-        mass = vols[:, None, None] * _reference_mass(mesh.dim)
+        stiff = np.einsum("cik,cjk->cij", grads, grads).reshape(mesh.n_cells, -1)
+        mass = (vols[:, None, None] * _reference_mass(mesh.dim)).reshape(mesh.n_cells, -1)
         rows = pos[np.repeat(mesh.cells, d1, axis=1)]
         cols = pos[np.tile(mesh.cells, (1, d1))]
         keep = (rows >= 0) & (cols >= 0)
-        keys = cols[keep] * n + rows[keep]  # CSC order: by column, then row
-        pattern = np.unique(keys)
-        nnz = pattern.size
-        slot = np.searchsorted(pattern, keys)
-        cell_ptr = np.zeros(mesh.n_cells + 1, dtype=np.int64)
-        np.cumsum(keep.sum(axis=1), out=cell_ptr[1:])
         self.mesh = mesh
         self.n = n
         self._vols = vols
-        self.indices = pattern % n
-        self.indptr = np.searchsorted(pattern // n, np.arange(n + 1))
-        self.W = sp.csr_matrix(
-            (stiff.reshape(len(keep), -1)[keep], slot, cell_ptr),
-            shape=(mesh.n_cells, nnz),
-        )
-        self.mass_data = np.bincount(
-            slot, weights=mass.reshape(len(keep), -1)[keep], minlength=nnz
+        self.mass = SparseOperator(rows[keep], cols[keep], mass[keep], (n, n))
+        self.indptr, self.indices = self.mass.indptr, self.mass.indices
+        pattern = np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
+        slot = np.searchsorted(pattern, rows[keep] * n + cols[keep])
+        self.W = SparseOperator(
+            slot, np.nonzero(keep)[0], stiff[keep], (self.mass.nnz, mesh.n_cells)
         )
         self.load = assemble_load(mesh)[interior]
         self._band = _BandCholesky(self.indptr, self.indices, n)
@@ -322,11 +424,11 @@ class DiffusionSolver:
         self.factor_floats = n * (self._band.w + 1)
 
     def matrix_data(self, u: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """CSC data of K for each row of nodal values u, shape (B, nnz)."""
+        """CSR data of K for each row of nodal values u, shape (B, nnz)."""
         coeff = np.exp(cell_midpoint_values(self.mesh, u + shift))
         if not np.all(np.isfinite(coeff)):
             raise ValueError("diffusion coefficient is not finite")
-        return np.asarray((self._vols * coeff) @ self.W)
+        return (self.W @ (self._vols * coeff).T).T
 
     def solve(self, u: np.ndarray, shift: float = 0.0) -> np.ndarray:
         """Interior solutions p, shape (B, n), for rows of nodal values u."""
@@ -336,39 +438,24 @@ class DiffusionSolver:
         data = self.matrix_data(u, shift)
         c = self._band.factor(data)
         p = self._band.solve(c, np.tile(self.load, len(data))).reshape(len(data), self.n)
-        r = self._apply(data, p) - self.load
+        r = self.mass.apply(p.T, data).T - self.load
         if np.any(np.linalg.norm(r, axis=1) > RESIDUAL_RTOL * np.linalg.norm(self.load)):
             raise ConvergenceError("diffusion solve residual above tolerance")
         return p
 
-    def _apply(self, data: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Row-wise products A p for symmetric matrices A with this pattern:
-        data (B, nnz) or one row (nnz,) shared by all rows of p (B, n)."""
-        # for symmetric A the CSC column sums of data * p[indices] are A p
-        return np.add.reduceat(data * p[:, self.indices], self.indptr[:-1], axis=1)
-
     def norm_sq(self, p: np.ndarray) -> np.ndarray:
         """Squared L2 norms of the P1 functions with interior values p (B, n)."""
-        return np.einsum("bi,bi->b", p, self._apply(self.mass_data, p))
+        return np.einsum("bi,ib->b", p, self.mass @ p.T)
 
 
 def matern_field_from_noise(
-    mesh: SimplicialMesh,
-    params: MaternParams,
-    b: np.ndarray,
-    solve: Optional[Callable] = None,
+    mesh: SimplicialMesh, params: MaternParams, b: np.ndarray, solve: Callable
 ) -> np.ndarray:
-    """Nodal values of the Matern field on `mesh` given the noise pairings b
-    (full-length, one vector or rows of a batch).
-
-    Pass a prefactorized interior solve to amortize repeated sampling.
-    """
-    if solve is None:
-        solve = factorized_spd(assemble_helmholtz(mesh, params.kappa))
-    b = np.asarray(b, dtype=float)
-    rhs = params.eta * b[..., mesh.interior_vertices]
-    x = solve(rhs.T if b.ndim > 1 else rhs)
-    return embed_interior(x.T if b.ndim > 1 else x, mesh)
+    """Nodal values of the Matern field on `mesh` for each row of the noise
+    pairings b (B, n_vertices), given the interior Helmholtz solve `solve`
+    (factorized_spd of assemble_helmholtz)."""
+    rhs = params.eta * np.asarray(b, dtype=float)[:, mesh.interior_vertices]
+    return embed_interior(solve(rhs.T).T, mesh)
 
 
 def cell_midpoint_values(mesh: SimplicialMesh, u: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Low-discrepancy sequences and reproducible randomness.
 
 Sobol' points with the bundled Joe-Kuo direction numbers, digital-shift
-randomization, an inverse normal CDF accurate to 1e-9, and counter-based
-random streams addressed by (seed, level, m, n, purpose).
+randomization, Wichura's AS241 inverse normal CDF, and counter-based random
+streams addressed by (seed, level, m, n, purpose).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.special import erfc
+from numpy.random import PCG64, Generator
 
 __all__ = [
     "SobolGenerator",
@@ -61,17 +61,13 @@ def _load_direction_numbers(max_dim: int, source=None):
                 break
             s = int(parts[1])
             a = int(parts[2])
-            m = [int(t) for t in parts[3 : 3 + s]]
-            col = np.zeros(_BITS, dtype=np.uint64)
-            for i in range(1, min(s, _BITS) + 1):
-                col[i - 1] = m[i - 1] << (_BITS - i)
-            for i in range(s + 1, _BITS + 1):
-                prev = col[i - s - 1]
-                acc = prev ^ (prev >> np.uint64(s))
+            col = [int(m) << (_BITS - i) for i, m in enumerate(parts[3 : 3 + s][:_BITS], 1)]
+            for i in range(s, _BITS):
+                v = col[i - s] ^ (col[i - s] >> s)
                 for k in range(1, s):
                     if (a >> (s - 1 - k)) & 1:
-                        acc ^= col[i - k - 1]
-                col[i - 1] = acc
+                        v ^= col[i - k]
+                col.append(v)
             V[:, d - 1] = col
     return V
 
@@ -173,79 +169,114 @@ def safe_uniform(u: np.ndarray) -> np.ndarray:
     return out
 
 
-# Rational approximation coefficients (Acklam), refined below to full
-# double precision by a Halley step on an erfc-based CDF.
-_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
+# Wichura's AS241 (PPND16, Applied Statistics 37, 1988): rational
+# approximations in r = 0.180625 - q^2 near the median and in
+# r = sqrt(-log(min(u, 1 - u))) - 1.6 or - 5 in the tails, numerator and
+# denominator coefficients from the constant term up.
+_CENTRAL = (
+    (
+        3.3871328727963666080e0,
+        1.3314166789178437745e2,
+        1.9715909503065514427e3,
+        1.3731693765509461125e4,
+        4.5921953931549871457e4,
+        6.7265770927008700853e4,
+        3.3430575583588128105e4,
+        2.5090809287301226727e3,
+    ),
+    (
+        1.0,
+        4.2313330701600911252e1,
+        6.8718700749205790830e2,
+        5.3941960214247511077e3,
+        2.1213794301586595867e4,
+        3.9307895800092710610e4,
+        2.8729085735721942674e4,
+        5.2264952788528545610e3,
+    ),
 )
-_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
+_INTERMEDIATE = (
+    (
+        1.42343711074968357734e0,
+        4.63033784615654529590e0,
+        5.76949722146069140550e0,
+        3.64784832476320460504e0,
+        1.27045825245236838258e0,
+        2.41780725177450611770e-1,
+        2.27238449892691845833e-2,
+        7.74545014278341407640e-4,
+    ),
+    (
+        1.0,
+        2.05319162663775882187e0,
+        1.67638483018380384940e0,
+        6.89767334985100004550e-1,
+        1.48103976427480074590e-1,
+        1.51986665636164571966e-2,
+        5.47593808499534494600e-4,
+        1.05075007164441684324e-9,
+    ),
 )
-_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
+_FAR_TAIL = (
+    (
+        6.65790464350110377720e0,
+        5.46378491116411436990e0,
+        1.78482653991729133580e0,
+        2.96560571828504891230e-1,
+        2.65321895265761230930e-2,
+        1.24266094738807843860e-3,
+        2.71155556874348757815e-5,
+        2.01033439929228813265e-7,
+    ),
+    (
+        1.0,
+        5.99832206555887937690e-1,
+        1.36929880922735805310e-1,
+        1.48753612908506148525e-2,
+        7.86869131145613259100e-4,
+        1.84631831751005468180e-5,
+        1.42151175831644588870e-7,
+        2.04426310338993978564e-15,
+    ),
 )
-_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
+
+
+def _rational(coeffs, r: np.ndarray) -> np.ndarray:
+    num, den = coeffs
+    p = np.full_like(r, num[-1])
+    q = np.full_like(r, den[-1])
+    for a, b in zip(num[-2::-1], den[-2::-1]):
+        p = p * r + a
+        q = q * r + b
+    return p / q
 
 
 def inverse_normal_cdf(u) -> np.ndarray:
-    """Inverse standard normal CDF, absolute accuracy 1e-9 on
-    [1e-12, 1 - 1e-12].
+    """Inverse standard normal CDF (Wichura's AS241), accurate to about
+    1e-16 relative; u must lie in (0, 1).
 
-    Computation is reduced to the lower tail by symmetry (1 - u is exact in
-    floating point for u >= 1/2), where the erfc-based CDF used in the
-    Halley correction keeps full relative accuracy.
+    The tails are evaluated on min(u, 1 - u) (1 - u is exact in floating
+    point for u >= 1/2) and the sign is restored afterwards.
     """
     u = np.asarray(u, dtype=np.float64)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("inverse_normal_cdf requires u in (0, 1)")
-    flip = u > 0.5
-    ut = np.where(flip, 1.0 - u, u)
-    x = np.empty_like(ut)
-
-    p_low = 0.02425
-    lo = ut < p_low
-    mid = ~lo
-
+    q = u - 0.5
+    x = np.empty_like(u)
+    mid = np.abs(q) <= 0.425
     if np.any(mid):
-        q = ut[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        x[mid] = num * q / den
-
-    if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(ut[lo]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        x[lo] = num / den
-
-    # One Halley refinement against Phi(x) = erfc(-x/sqrt(2))/2; x <= 0 here.
-    err = 0.5 * erfc(-x / np.sqrt(2.0)) - ut
-    t = err * np.sqrt(2.0 * np.pi) * np.exp(0.5 * x * x)
-    x = x - t / (1.0 + 0.5 * x * t)
-
-    x[flip] = -x[flip]
+        qm = q[mid]
+        x[mid] = qm * _rational(_CENTRAL, 0.180625 - qm * qm)
+    tail = ~mid
+    if np.any(tail):
+        r = np.sqrt(-np.log(np.minimum(u[tail], 1.0 - u[tail])))
+        near = r <= 5.0
+        xt = np.empty_like(r)
+        xt[near] = _rational(_INTERMEDIATE, r[near] - 1.6)
+        xt[~near] = _rational(_FAR_TAIL, r[~near] - 5.0)
+        x[tail] = np.where(q[tail] < 0.0, -xt, xt)
     return x[0] if scalar else x
 
 
@@ -371,8 +402,8 @@ class StreamChunk:
                 entropy[:, len(head) + k] = n >> np.uint64(32 * k) & np.uint64(_MASK32)
             entropy[:, len(head) + n_words :] = tail
             self._states += [_pcg64_seeded(*row) for row in _seed_state(entropy).tolist()]
-        self._bits = np.random.PCG64(0)
-        self.generator = np.random.Generator(self._bits)
+        self._bits = PCG64(0)
+        self.generator = Generator(self._bits)
 
     def select(self, n: int) -> None:
         """Set `generator` to the start of stream n."""
@@ -403,7 +434,7 @@ class RandomStream:
             raise ValueError("stream path components out of range")
 
     @functools.cached_property
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         chunk = StreamChunk(self.seed, self.level, self.m, self.n, self.n + 1, self.purpose)
         chunk.select(self.n)
         return chunk.generator

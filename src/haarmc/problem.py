@@ -114,11 +114,18 @@ class LevelContext:
 
     @property
     def chunk_size(self) -> int:
+        operators = [self.layout.H, self.tables.S]
+        for st in self.tables.spaces:
+            operators += [st.I_mat, st.G_map]
+        for s in self.spaces:
+            operators += [s.diffusion.W, s.diffusion.mass]
         per_sample = (
             self.layout.total_dim
             + self.tables.cell_block_size
             + 4 * self.spaces[0].d_mesh.n_vertices
             + sum(s.diffusion.factor_floats for s in self.spaces)
+            # the padded row a product gathers beyond its fixed scratch
+            + max(op.gather_floats for op in operators)
         )
         return max(1, CHUNK_FLOAT_BUDGET // per_sample)
 

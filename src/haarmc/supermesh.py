@@ -135,7 +135,7 @@ def _areas(pts: np.ndarray, n: np.ndarray) -> np.ndarray:
     the polygon's vertices, with x read at the stride of a (k, 2) array.
     """
     out = np.zeros(len(n))
-    for k in np.unique(n[n >= 3]):
+    for k in np.flatnonzero(np.bincount(n)[3:]) + 3:
         rows = np.nonzero(n == k)[0]
         poly = pts[rows, :k]
         x, y = poly[:, :, 0], poly[:, :, 1]
@@ -262,7 +262,9 @@ class _Bins:
         key = _flat(idx, self.n)
         entry, k = _ragged(self.start[key + 1] - self.start[key])
         cell = self.cells[self.start[key[entry]] + k]
-        pair = np.unique(row[entry] * self.n_cells + cell)
+        pair = np.sort(row[entry] * self.n_cells + cell)
+        # drop repeats by hand: np.unique's plain path imports numpy.ma
+        pair = pair[np.r_[True, pair[1:] != pair[:-1]][: pair.size]]
         return pair // self.n_cells, pair % self.n_cells
 
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import HaarMesh, SimplicialMesh
+from .sparse import SparseOperator
 from .supermesh import Supermesh
 
 __all__ = [
@@ -75,7 +75,7 @@ class HaarLayout:
     qmc_dim: int
     # (n_haar_cells, total_dim) Haar transform on the unit box: row k holds,
     # per level vector, the signed scale of the one wavelet overlapping cell k
-    H: sp.csr_matrix = field(init=False, repr=False)
+    H: SparseOperator = field(init=False, repr=False)
 
     @property
     def total_dim(self) -> int:
@@ -108,7 +108,7 @@ def build_layout(dim: int, level: int) -> HaarLayout:
     return HaarLayout(dim, level, levels, shifts, qmc)
 
 
-def _haar_transform(layout: HaarLayout) -> sp.csr_matrix:
+def _haar_transform(layout: HaarLayout) -> SparseOperator:
     d, L = layout.dim, layout.level
     nside = 1 << (L + 1)
     n_cells = nside**d
@@ -131,10 +131,8 @@ def _haar_transform(layout: HaarLayout) -> sp.csr_matrix:
         shape = tuple(1 << max(li, 0) for li in lvec)
         idx[:, j] = first_index[lvec] + np.ravel_multi_index(nbar.T, shape)
         coef[:, j] = sign * scale
-    indptr = np.arange(0, idx.size + 1, len(lvecs))
-    return sp.csr_matrix(
-        (coef.ravel(), idx.ravel(), indptr), shape=(n_cells, layout.total_dim)
-    )
+    rows = np.repeat(np.arange(n_cells), len(lvecs))
+    return SparseOperator(rows, idx, coef, (n_cells, layout.total_dim))
 
 
 @dataclass
@@ -142,8 +140,8 @@ class SpaceTables:
     """One function space's part of a level's noise operator."""
 
     n_dofs: int
-    I_mat: sp.csr_matrix  # (n_dofs, n_haar) integrals over Haar cells
-    G_map: sp.csc_matrix  # (n_dofs, n_cells * (d+1)) local factors on the dofs
+    I_mat: SparseOperator  # (n_dofs, n_haar) integrals over Haar cells
+    G_map: SparseOperator  # (n_dofs, n_cells * (d+1)) local factors on the dofs
 
 
 @dataclass
@@ -152,7 +150,7 @@ class CellGeometryTables:
 
     dim: int
     haar: HaarMesh
-    S: sp.csc_matrix  # (n_haar, n_cells * (d+1)) cell averages, all spaces
+    S: SparseOperator  # (n_haar, n_cells * (d+1)) cell averages, all spaces
     spaces: list  # [fine] or [fine, coarse] SpaceTables
 
     @property
@@ -216,18 +214,16 @@ def _space_tables(
             f"local factors miss the shared cell-average map by {err:.3g}"
         )
     n_e, d1 = dofs.shape
-    G_map = sp.csc_matrix(
-        (
-            np.swapaxes(G, 1, 2).ravel(),
-            np.broadcast_to(dofs[:, None, :], G.shape).ravel(),
-            np.arange(0, G.size + 1, d1),
-        ),
-        shape=(mesh.n_vertices, n_e * d1),
+    # G[e, i, k]: dof i of cell e, draw k of cell e
+    G_map = SparseOperator(
+        np.broadcast_to(dofs[:, :, None], G.shape),
+        np.broadcast_to(np.arange(n_e * d1).reshape(n_e, 1, d1), G.shape),
+        G,
+        (mesh.n_vertices, n_e * d1),
     )
     int_loc = sm.volumes[:, None] * R.mean(axis=2)
-    I_mat = sp.csr_matrix(
-        (int_loc.ravel(), (dofs.ravel(), np.repeat(sm.parent_haar, d1))),
-        shape=(mesh.n_vertices, haar.n_cells),
+    I_mat = SparseOperator(
+        dofs, np.repeat(sm.parent_haar, d1), int_loc, (mesh.n_vertices, haar.n_cells)
     )
     return SpaceTables(mesh.n_vertices, I_mat, G_map)
 
@@ -250,13 +246,11 @@ def build_tables(
     d = fine.dim
     Lref = _reference_mass_chol(d)
     colsum = np.sqrt(sm.volumes)[:, None] * Lref.sum(axis=0)[None, :]
-    S = sp.csc_matrix(
-        (
-            colsum.ravel() / haar.cell_volume,
-            np.repeat(sm.parent_haar, d + 1),
-            np.arange(colsum.size + 1),
-        ),
-        shape=(haar.n_cells, colsum.size),
+    S = SparseOperator(
+        np.repeat(sm.parent_haar, d + 1),
+        np.arange(colsum.size),
+        colsum / haar.cell_volume,
+        (haar.n_cells, colsum.size),
     )
     spaces = [_space_tables(fine, sm.parent_a, sm, haar, Lref, colsum)]
     if coarse is not None:
@@ -284,8 +278,10 @@ def apply_noise_maps(
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != layout.total_dim:
         raise ValueError("coefficient vector has wrong length")
-    Z = z.reshape(-1, layout.total_dim).T
-    ZC = np.asarray(z_cells, dtype=np.float64).reshape(Z.shape[1], -1).T
+    # one sample per column, copied once for all the products
+    Z = np.ascontiguousarray(z.reshape(-1, layout.total_dim).T)
+    ZC = np.asarray(z_cells, dtype=np.float64).reshape(Z.shape[1], -1)
+    ZC = np.ascontiguousarray(ZC.T)
     delta = (layout.H @ Z) / np.sqrt(haar.box.volume)
     delta -= tables.S @ ZC
     out = []

@@ -8,6 +8,7 @@ supermeshes clipped one polygon at a time instead of in batches.
 """
 
 import itertools
+from importlib import resources
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,8 +17,9 @@ from scipy.optimize import brentq
 from scipy.special import erfc
 
 from haarmc.fem import assemble_mass
-from haarmc.lowdisc import _SCALE, SobolGenerator
+from haarmc.lowdisc import _BITS, _SCALE, SobolGenerator
 from haarmc.mesh import HaarMesh, SimplicialMesh, cell_volumes, vertex_injection_map
+from haarmc.sparse import SparseOperator
 from haarmc.supermesh import Supermesh
 
 
@@ -32,12 +34,24 @@ def mass_matrix(mesh):
     return M
 
 
+def sparse_operator(A):
+    """The SparseOperator of a dense array or a scipy sparse matrix."""
+    coo = sp.coo_matrix(A)
+    return SparseOperator(coo.row, coo.col, coo.data, coo.shape)
+
+
+def scipy_matrix(A):
+    """A SparseOperator as a scipy CSR matrix, for the scipy oracles."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
 def splu_solve(A, b):
-    """Solve the SPD system A x = b with SuperLU in symmetric mode: minimum
-    degree on A + A^T and the diagonal as pivot, which keeps the fill of a
-    Cholesky factor. b may be a vector or a matrix of right-hand sides."""
+    """Solve the SPD system A x = b (a SparseOperator) with SuperLU in
+    symmetric mode: minimum degree on A + A^T and the diagonal as pivot,
+    which keeps the fill of a Cholesky factor. b may be a vector or a
+    matrix of right-hand sides."""
     lu = spla.splu(
-        sp.csc_matrix(A),
+        sp.csc_matrix(scipy_matrix(A)),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
@@ -103,6 +117,43 @@ def haar_transform_tables(layout):
             idx[k, j] = lookup[(lvec, tuple(nbar[k]))]
         coef[:, j] = sign * scale
     return idx, coef
+
+
+def load_direction_numbers(max_dim: int, source=None):
+    """The Joe-Kuo table parsed with the direction recurrence run on numpy
+    uint64 scalars, one column entry at a time (the library runs it on
+    Python ints). Returns (_BITS, max_dim) uint64, column j for dimension
+    j+1."""
+    V = np.zeros((_BITS, max_dim), dtype=np.uint64)
+    V[:, 0] = [1 << (_BITS - i) for i in range(1, _BITS + 1)]
+    if source is None:
+        source = resources.files("haarmc").joinpath("data/joe-kuo-d6-1120.txt")
+    with source.open() as f:
+        header = f.readline()
+        if header.split()[:1] != ["d"]:
+            raise ValueError(f"direction number table has a bad header: {header!r}")
+        for line in f:
+            parts = line.split()
+            if not parts:
+                continue
+            d = int(parts[0])
+            if d > max_dim:
+                break
+            s = int(parts[1])
+            a = int(parts[2])
+            m = [int(t) for t in parts[3 : 3 + s]]
+            col = np.zeros(_BITS, dtype=np.uint64)
+            for i in range(1, min(s, _BITS) + 1):
+                col[i - 1] = m[i - 1] << (_BITS - i)
+            for i in range(s + 1, _BITS + 1):
+                prev = col[i - s - 1]
+                acc = prev ^ (prev >> np.uint64(s))
+                for k in range(1, s):
+                    if (a >> (s - 1 - k)) & 1:
+                        acc ^= col[i - k - 1]
+                col[i - 1] = acc
+            V[:, d - 1] = col
+    return V
 
 
 def sobol_point(gen: SobolGenerator, n: int) -> np.ndarray:

@@ -214,7 +214,7 @@ def test_screen_seed_override_changes_rows(tmp_path):
     man = json.loads((out2 / "manifest.json").read_text())
     assert man["seed"] == 9
     assert man["command"] == "screen"
-    assert set(man["versions"]) == {"haarmc", "numpy", "scipy", "python"}
+    assert set(man["versions"]) == {"haarmc", "numpy", "python"}
 
 
 def test_synthetic_screen_recovers_exact_rates(tmp_path, capsys):
@@ -339,6 +339,38 @@ def declared_script(name):
     table = table.split("\n[", 1)[0]
     match = re.search(rf'^{re.escape(name)}\s*=\s*"([^"]*)"', table, re.M)
     return match and match.group(1)
+
+
+def test_cli_import_and_run_load_no_scipy(tmp_path):
+    """scipy is the tests' oracle, not a dependency: importing the CLI loads
+    no scipy module, and neither does a run unless numpy bundles no
+    OpenBLAS and the banded Cholesky falls back to scipy's LAPACK."""
+    cfg = write_config(tmp_path)
+    src = str(Path(haarmc.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
+    script = (
+        "import json, sys\n"
+        "import haarmc.cli\n"
+        "scipy_modules = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "after_import = scipy_modules()\n"
+        "code = haarmc.cli.main(['screen', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "fallback = haarmc.fem._openblas_band_routines() is None\n"
+        "print(json.dumps([code, after_import, scipy_modules(), fallback]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, after_import, after_run, fallback = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert after_import == []
+    assert fallback or after_run == []
 
 
 def test_console_script(tmp_path):

@@ -39,7 +39,7 @@ def test_helmholtz_single_interior_dof():
     mesh = build_uniform_mesh(UNIT1, 1, 2)
     A = assemble_helmholtz(mesh, 1.0)
     assert A.shape == (1, 1)
-    assert A[0, 0] == pytest.approx(13.0 / 3.0, rel=1e-14)
+    assert A.toarray()[0, 0] == pytest.approx(13.0 / 3.0, rel=1e-14)
 
 
 def test_helmholtz_rejects_bad_kappa():
@@ -60,7 +60,7 @@ def test_mass_matrix_against_oracle(dim, n):
 def test_stiffness_row_sums_vanish():
     mesh = build_uniform_mesh(UNIT2, 2, 3)
     K = assemble_stiffness(mesh)
-    np.testing.assert_allclose(np.asarray(K.sum(axis=1)).ravel(), 0.0, atol=1e-13)
+    np.testing.assert_allclose(K.toarray().sum(axis=1), 0.0, atol=1e-13)
 
 
 def test_load_vector_is_basis_integrals():
@@ -90,7 +90,7 @@ def test_lognormal_diffusion_rejects_nonfinite():
 
 def test_solve_identity():
     b = np.arange(5, dtype=float)
-    x = solve_spd(sp.eye(5, format="csr"), b)
+    x = solve_spd(oracles.sparse_operator(np.eye(5)), b)
     np.testing.assert_allclose(x, b, atol=1e-14)
 
 
@@ -99,13 +99,13 @@ def test_solve_against_dense_oracle():
     Q = rng.standard_normal((10, 10))
     A = Q @ Q.T + 10 * np.eye(10)
     b = rng.standard_normal(10)
-    x = solve_spd(sp.csr_matrix(A), b)
+    x = solve_spd(oracles.sparse_operator(A), b)
     np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-10)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-10
 
 
 def test_factorized_spd_rejects_indefinite():
-    A = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    A = oracles.sparse_operator(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(np.linalg.LinAlgError):
         factorized_spd(A)
 
@@ -243,19 +243,24 @@ def test_lognormal_moment_matching():
 def test_matern_field_zero_noise():
     mesh = build_uniform_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 2, 4)
     pars = MaternParams.create(2, 1.0, 0.25)
-    u = matern_field_from_noise(mesh, pars, np.zeros(mesh.n_vertices))
-    np.testing.assert_array_equal(u, np.zeros(mesh.n_vertices))
+    solve = factorized_spd(assemble_helmholtz(mesh, pars.kappa))
+    u = matern_field_from_noise(mesh, pars, np.zeros((1, mesh.n_vertices)), solve)
+    np.testing.assert_array_equal(u, np.zeros((1, mesh.n_vertices)))
 
 
 def test_matern_field_batch_matches_single():
     mesh = build_uniform_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 2, 4)
     pars = MaternParams.create(2, 1.0, 0.25)
+    A = assemble_helmholtz(mesh, pars.kappa)
+    solve = factorized_spd(A)
     rng = np.random.default_rng(12)
     B = rng.standard_normal((3, mesh.n_vertices))
-    batch = matern_field_from_noise(mesh, pars, B)
+    batch = matern_field_from_noise(mesh, pars, B, solve)
+    dense = np.linalg.solve(A.toarray(), pars.eta * B[:, mesh.interior_vertices].T).T
+    np.testing.assert_allclose(batch[:, mesh.interior_vertices], dense, atol=1e-13)
     for i in range(3):
-        np.testing.assert_allclose(
-            batch[i], matern_field_from_noise(mesh, pars, B[i]), atol=1e-13
+        np.testing.assert_array_equal(
+            batch[i], matern_field_from_noise(mesh, pars, B[i : i + 1], solve)[0]
         )
     # homogeneous Dirichlet data on the outer boundary
     np.testing.assert_array_equal(batch[:, mesh.boundary_vertices], 0.0)
@@ -309,8 +314,8 @@ def test_diffusion_solver_matches_per_sample_path(name, batch):
     for b in range(batch):
         K = assemble_lognormal_diffusion(mesh, u[b] + shift)
         data = solver.matrix_data(u[b], shift)
-        K_batched = sp.csc_matrix((data, solver.indices, solver.indptr), shape=(n, n)).toarray()
-        np.testing.assert_allclose(K_batched, K.toarray(), rtol=1e-13, atol=1e-13 * abs(K).max())
+        K_batched = sp.csr_matrix((data, solver.indices, solver.indptr), shape=(n, n)).toarray()
+        np.testing.assert_allclose(K_batched, K.toarray(), rtol=1e-13, atol=1e-13 * np.abs(K.data).max())
         ref = oracles.splu_solve(K, load)
         assert np.max(np.abs(p[b] - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert solver.norm_sq(p[b : b + 1])[0] == pytest.approx(ref @ (M @ ref), rel=1e-12)
@@ -336,8 +341,8 @@ def test_stacked_diffusion_solve_matches_per_sample_factorizations(dim):
         c = band.factor(data)
         for b, row in enumerate(data):
             np.testing.assert_array_equal(c[:, b * n : (b + 1) * n], band.factor(row))
-            K = sp.csc_matrix((row, solver.indices, solver.indptr), shape=(n, n))
-            ref = factorized_spd(K)(solver.load)
+            K = sp.csr_matrix((row, solver.indices, solver.indptr), shape=(n, n))
+            ref = factorized_spd(oracles.sparse_operator(K))(solver.load)
             if band.w < 16:
                 np.testing.assert_array_equal(p[b], ref)
             else:
@@ -393,3 +398,86 @@ def test_diffusion_solver_rejects_nonfinite():
 def test_diffusion_solver_rejects_mesh_without_interior():
     with pytest.raises(ValueError):
         DiffusionSolver(build_uniform_mesh(UNIT2, 2, 1))
+
+
+# ------------------------------------------------------- LAPACK and RCM
+
+
+def _band_problem(n, w, seed):
+    """A random SPD band (w + 1, n) in LAPACK upper layout, Fortran order,
+    and three right-hand sides."""
+    rng = np.random.default_rng(seed)
+    ab = np.zeros((w + 1, n), order="F")
+    for k in range(1, w + 1):
+        ab[w - k, k:] = 0.1 * rng.standard_normal(n - k)
+    ab[w] = 2.0 + w
+    return ab, rng.standard_normal((n, 3))
+
+
+@pytest.fixture
+def fresh_band_lapack():
+    fem._band_lapack.cache_clear()
+    yield
+    fem._band_lapack.cache_clear()
+
+
+@pytest.mark.parametrize("n,w", [(63, 1), (500, 7), (3969, 31)])
+def test_bundled_openblas_matches_scipy_lapack(n, w):
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+    if fem._openblas_band_routines() is None:
+        pytest.skip("numpy bundles no ILP64 OpenBLAS here")
+    pbtrf, pbtrs = fem._band_lapack()
+    ab, b = _band_problem(n, w, w)
+    ref_c, ref_info = dpbtrf(ab, lower=0)
+    c = ab.copy(order="F")
+    assert pbtrf(c) == ref_info == 0
+    np.testing.assert_array_equal(c, ref_c)
+    for rhs in (b, b[:, 0]):
+        x = np.array(rhs, order="F")
+        pbtrs(c, x)
+        np.testing.assert_array_equal(x, dpbtrs(ref_c, rhs, lower=0)[0])
+    ab[w, n // 2] = -1.0
+    assert pbtrf(ab.copy(order="F")) == dpbtrf(ab, lower=0)[1] > 0
+
+
+def test_band_lapack_falls_back_to_scipy(monkeypatch, fresh_band_lapack):
+    import scipy.linalg.lapack as lapack
+
+    calls = []
+
+    def counted(name):
+        routine = getattr(lapack, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return routine(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(fem, "_openblas_band_routines", lambda: None)
+    monkeypatch.setattr(lapack, "dpbtrf", counted("dpbtrf"))
+    monkeypatch.setattr(lapack, "dpbtrs", counted("dpbtrs"))
+    mesh = _jittered_2d(8, 0.3, 11)
+    A = assemble_helmholtz(mesh, 3.0)
+    B = np.random.default_rng(3).standard_normal((A.shape[0], 5))
+    X = factorized_spd(A)(B)
+    assert calls == ["dpbtrf", "dpbtrs"]
+    np.testing.assert_allclose(X, np.linalg.solve(A.toarray(), B), rtol=1e-12, atol=1e-12)
+    with pytest.raises(np.linalg.LinAlgError):
+        factorized_spd(oracles.sparse_operator(np.array([[1.0, 2.0], [2.0, 1.0]])))
+
+
+def test_rcm_matches_scipy_on_default_hierarchy_meshes():
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    for dim, levels in ((1, list(range(1, 10))), (2, [1, 2, 3, 4, 5])):
+        hier = build_hierarchy(
+            default_g_box(dim), default_d_box(dim), dim, levels, [3] * len(levels)
+        )
+        for g, d, _ in hier.levels:
+            for mesh in (g, d):
+                A = assemble_helmholtz(mesh, 2.0)
+                ref = reverse_cuthill_mckee(oracles.scipy_matrix(A), symmetric_mode=True)
+                order = fem._reverse_cuthill_mckee(A.indptr, A.indices, A.shape[0])
+                np.testing.assert_array_equal(order, ref)

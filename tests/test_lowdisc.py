@@ -26,6 +26,7 @@ from haarmc.lowdisc import (
     shifted_point,
     sobol_points,
 )
+import oracles
 from oracles import normal_inverse, sobol_gray_recurrence, sobol_point
 
 GEN64 = SobolGenerator(64)
@@ -73,6 +74,15 @@ def test_partial_direction_table_matches_full_parse():
     full = lowdisc._load_direction_numbers(SobolGenerator.MAX_DIM)
     for dim in (24, 200, 3, 64):
         np.testing.assert_array_equal(SobolGenerator(dim)._v, full[:, :dim])
+
+
+def test_direction_table_matches_uint64_recurrence():
+    """Every column of the Python-int recurrence equals the one run on
+    numpy uint64 scalars."""
+    full = lowdisc._load_direction_numbers(SobolGenerator.MAX_DIM)
+    ref = oracles.load_direction_numbers(SobolGenerator.MAX_DIM)
+    assert full.dtype == ref.dtype == np.uint64
+    np.testing.assert_array_equal(full, ref)
 
 
 def test_zero_shift_is_identity():
@@ -136,6 +146,23 @@ def test_inverse_normal_accuracy_and_monotone():
     assert np.max(np.abs(x - ref)) < 1e-9
     order = np.argsort(u)
     assert np.all(np.diff(x[order]) > 0)
+
+
+def test_inverse_normal_relative_accuracy_against_ndtri():
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(5)
+    u = np.concatenate(
+        [
+            rng.random(100_000),
+            10.0 ** rng.uniform(-300, -1, 20_000),
+            1.0 - 10.0 ** rng.uniform(-16, -1, 20_000),
+            [0.075, 0.925, 2.0**-33, 1.0 - 2.0**-33],
+        ]
+    )
+    ref = ndtri(u)
+    x = inverse_normal_cdf(u)
+    assert np.max(np.abs(x - ref) / np.maximum(np.abs(ref), 1e-300)) < 4e-15
 
 
 def test_inverse_normal_domain():
