@@ -235,9 +235,10 @@ def validate_config(cfg: RunConfig) -> None:
     _require(cfg.N_screen >= 16, "N_screen", "must be >= 16")
     _require(
         isinstance(cfg.N_list, list)
+        and len(cfg.N_list) > 0
         and all(_is_int(n) and n >= 1 and not (n & (n - 1)) for n in cfg.N_list),
         "N_list",
-        "entries must be powers of two",
+        "must be a non-empty list of powers of two",
     )
     _require(isinstance(cfg.synthetic, bool), "synthetic", "must be a boolean")
     _require(isinstance(cfg.out, str), "out", "must be a string")
@@ -289,7 +290,7 @@ def _synthetic_samplers(n_levels: int) -> List[LevelSampler]:
         return LevelSampler(
             level=ell,
             cost=4.0**ell,
-            batch=lambda m, n0, n1: np.full(n1 - n0, 4.0**-ell),
+            batch=lambda ms, n0, n1: np.full((len(ms), n1 - n0), 4.0**-ell),
         )
 
     return [make(ell) for ell in range(n_levels)]
@@ -356,31 +357,34 @@ def _run_slice(k: int) -> list:
 
 
 def _measured_batch(samplers, N: int, task):
-    """batch(m, 0, N) of one (level, m) task, with the wall-cost updates it
-    made returned instead of applied: in a worker process they would be
-    lost with the worker's copy of the sampler."""
+    """Replicate m's samples 0..N-1 of one (level, m) task, with the
+    wall-cost updates the batch made returned instead of applied: in a
+    worker process they would be lost with the worker's copy of the
+    sampler."""
     li, m = task
     s = samplers[li]
     spent = []
     keep, s.record = s.record, lambda seconds, n: spent.append((seconds, n))
     try:
-        ys = s.batch(m, 0, N)
+        ys = s.batch(range(m, m + 1), 0, N)[0]
     finally:
         s.record = keep
     return ys, spent
 
 
 def _replay_samplers(samplers, N: int, M: int, threads: int):
-    """Precompute batch(m, 0, N) for every (level, m) pair in `threads`
-    worker processes and wrap the results in samplers that replay prefix
-    slices. Output-identical to using the originals directly, whatever the
-    worker count. Wall-cost updates are folded into the originals' costs
-    here, in task order, before the replaying samplers copy them."""
+    """Precompute samples 0..N-1 of replicates 0..M-1 of every level, one
+    (level, m) pair per task in `threads` worker processes, and wrap the
+    results in samplers that replay slices of one (M, N) array per level.
+    One replicate per task keeps each batch's chunking independent of the
+    worker count, so the output is identical to using the originals
+    directly. Wall-cost updates are folded into the originals' costs here,
+    in task order, before the replaying samplers copy them."""
     tasks = [(li, m) for li in range(len(samplers)) for m in range(M)]
     results = _pool_map(partial(_measured_batch, samplers, N), tasks, threads)
-    cache = {}
+    cache = [np.empty((M, N)) for _ in samplers]
     for (li, m), (ys, spent) in zip(tasks, results):
-        cache.setdefault(li, {})[m] = ys
+        cache[li][m] = ys
         for seconds, n in spent:
             samplers[li].record(seconds, n)
 
@@ -388,7 +392,7 @@ def _replay_samplers(samplers, N: int, M: int, threads: int):
         return LevelSampler(
             level=s.level,
             cost=s.cost,
-            batch=lambda m, n0, n1, c=cache[li]: c[m][n0:n1],
+            batch=lambda ms, n0, n1, c=cache[li]: c[ms.start : ms.stop, n0:n1],
         )
 
     return [make(li, s) for li, s in enumerate(samplers)]

@@ -17,7 +17,6 @@ from numpy.random import PCG64, Generator
 __all__ = [
     "SobolGenerator",
     "DigitalShift",
-    "RandomStream",
     "StreamChunk",
     "sobol_points",
     "shifted_point",
@@ -31,7 +30,7 @@ __all__ = [
 _BITS = 32
 _SCALE = float(2**_BITS)
 
-# Purpose tags for RandomStream derivation.
+# Purpose tags of the stream tuples.
 PURPOSE_SHIFT = 1  # digital-shift masks for one randomization
 PURPOSE_NOISE = 2  # per-sample white-noise draws
 
@@ -128,16 +127,17 @@ def sobol_points(gen: SobolGenerator, n) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DigitalShift:
-    """Per-coordinate XOR masks on the first 32 bits."""
+    """Per-coordinate XOR masks on the first 32 bits: one (dim,) row shared
+    by all points, or a (rows, dim) stack with one row per point."""
 
-    masks: np.ndarray  # (dim,) uint64
+    masks: np.ndarray  # (dim,) or (rows, dim) uint64
 
     @property
     def dim(self) -> int:
-        return self.masks.shape[0]
+        return self.masks.shape[-1]
 
     @staticmethod
-    def from_stream(stream: "RandomStream", dim: int) -> "DigitalShift":
+    def from_stream(stream: "StreamChunk", dim: int) -> "DigitalShift":
         masks = stream.generator.integers(0, _SCALE, size=dim, dtype=np.uint64)
         return DigitalShift(masks)
 
@@ -150,14 +150,10 @@ def shifted_point(point: np.ndarray, shift: DigitalShift) -> np.ndarray:
     the consumer (see safe_uniform) so the involution is unconditional.
     """
     p = np.asarray(point, dtype=np.float64)
-    bits = (p * _SCALE).astype(np.uint64)
-    if p.ndim == 1:
-        if bits.shape[0] != shift.dim:
-            raise ValueError("point and shift dimensions differ")
-        return (bits ^ shift.masks).astype(np.float64) / _SCALE
-    if bits.shape[1] != shift.dim:
+    if p.shape[-1] != shift.dim:
         raise ValueError("point and shift dimensions differ")
-    return (bits ^ shift.masks[None, :]).astype(np.float64) / _SCALE
+    bits = (p * _SCALE).astype(np.uint64)
+    return (bits ^ shift.masks).astype(np.float64) / _SCALE
 
 
 def safe_uniform(u: np.ndarray) -> np.ndarray:
@@ -371,43 +367,57 @@ def _pcg64_seeded(s0: int, s1: int, i0: int, i1: int) -> tuple:
     return ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128, inc
 
 
+def _indices(x) -> np.ndarray:
+    """An integer or integer array as a flat uint64 array; ValueError for
+    entries outside [0, 2^64)."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iu" or (a.size and a.min() < 0):
+        raise ValueError("stream path components out of range")
+    return a.astype(np.uint64).ravel()
+
+
 class StreamChunk:
-    """The streams (seed, level, m, n, purpose) for n = n0..n1-1, opened at
+    """The streams (seed, level, m[k], n[k], purpose), k = 0..K-1, opened at
     once.
 
-    Stream n is the PCG64 generator numpy seeds from
-    SeedSequence((seed, level + 1, m, n, purpose)); the chunk hashes all
-    n of the chunk together and keeps one PCG64 and Generator, which
-    `select(n)` sets to the start of stream n. Sample indices must lie
-    below 2^64. A chunk carries generator state, so threads must not share
-    one.
+    m and n are replicate and sample indices below 2^64, ints or integer
+    arrays broadcast against each other to the chunk's K streams. Stream k
+    is the PCG64 generator numpy seeds from
+    SeedSequence((seed, level + 1, m[k], n[k], purpose)); the chunk hashes
+    all its streams together and keeps one PCG64 and Generator, which
+    `select(k)` sets to the start of stream k. A chunk carries generator
+    state, so threads must not share one.
     """
 
-    def __init__(self, seed: int, level: int, m: int, n0: int, n1: int, purpose: int):
-        if seed < 0 or level < -1 or m < 0 or purpose < 0 or not 0 <= n0 <= n1 <= 2**64:
+    def __init__(self, seed: int, level: int, m, n, purpose: int):
+        if seed < 0 or level < -1 or purpose < 0:
             raise ValueError("stream path components out of range")
-        head = _int_words(seed) + _int_words(level + 1) + _int_words(m)
+        m, n = np.broadcast_arrays(_indices(m), _indices(n))
+        head = _int_words(seed) + _int_words(level + 1)
         tail = _int_words(purpose)
         # indices from 2^32 on split into two entropy words, not one
-        split = min(max(n0, 2**32), n1)
-        self._n0 = n0
-        self._states = []
-        for lo, hi, n_words in ((n0, split, 1), (split, n1, 2)):
-            if lo == hi:
+        n_words = [1 + (x >> np.uint64(32) > 0) for x in (m, n)]
+        self._states = [None] * m.size
+        for mw, nw in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            rows = np.flatnonzero((n_words[0] == mw) & (n_words[1] == nw))
+            if rows.size == 0:
                 continue
-            n = np.arange(lo, hi, dtype=np.uint64)
-            entropy = np.empty((hi - lo, len(head) + n_words + len(tail)), dtype=np.uint32)
+            entropy = np.empty((rows.size, len(head) + mw + nw + len(tail)), dtype=np.uint32)
             entropy[:, : len(head)] = head
-            for k in range(n_words):
-                entropy[:, len(head) + k] = n >> np.uint64(32 * k) & np.uint64(_MASK32)
-            entropy[:, len(head) + n_words :] = tail
-            self._states += [_pcg64_seeded(*row) for row in _seed_state(entropy).tolist()]
+            col = len(head)
+            for x, words in ((m[rows], mw), (n[rows], nw)):
+                for k in range(words):
+                    entropy[:, col] = x >> np.uint64(32 * k) & np.uint64(_MASK32)
+                    col += 1
+            entropy[:, col:] = tail
+            for k, state in zip(rows.tolist(), _seed_state(entropy).tolist()):
+                self._states[k] = _pcg64_seeded(*state)
         self._bits = PCG64(0)
         self.generator = Generator(self._bits)
 
-    def select(self, n: int) -> None:
-        """Set `generator` to the start of stream n."""
-        state, inc = self._states[n - self._n0]
+    def select(self, k: int) -> None:
+        """Set `generator` to the start of stream k."""
+        state, inc = self._states[k]
         self._bits.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
@@ -416,31 +426,7 @@ class StreamChunk:
         }
 
 
-@dataclass(frozen=True)
-class RandomStream:
-    """Counter-based stream: the tuple (seed, level, m, n, purpose) is fed
-    through SeedSequence into a fresh 64-bit PCG64 state, so draws are
-    reproducible under any execution order. The one-stream case of
-    StreamChunk."""
-
-    seed: int
-    level: int = 0
-    m: int = 0
-    n: int = 0
-    purpose: int = PURPOSE_NOISE
-
-    def __post_init__(self):
-        if self.seed < 0 or self.level < -1 or self.m < 0 or not 0 <= self.n < 2**64:
-            raise ValueError("stream path components out of range")
-
-    @functools.cached_property
-    def generator(self) -> Generator:
-        chunk = StreamChunk(self.seed, self.level, self.m, self.n, self.n + 1, self.purpose)
-        chunk.select(self.n)
-        return chunk.generator
-
-
 def normal_vector(stream, k: int) -> np.ndarray:
-    """k iid standard normals from a stream's generator (a RandomStream, or
-    a StreamChunk set to one of its streams)."""
+    """k iid standard normals from a stream's generator (a StreamChunk set
+    to one of its streams)."""
     return stream.generator.standard_normal(k)

@@ -54,17 +54,19 @@ class LevelSampler:
     """One telescoping level: Y = P_level - P_{level-1} (P alone on the
     first level).
 
-    batch(m, n0, n1) returns the Y values of samples n0..n1-1 under
-    randomization m; it must be deterministic given (m, n0, n1) and the
-    seed bound at construction. cost is the per-sample cost in the active
-    cost model (dof count or measured seconds). Under a measured cost,
-    batch reports each call's seconds through record(seconds, samples),
-    which folds them into cost; record is None when cost is fixed.
+    batch(ms, n0, n1) returns the Y values of samples n0..n1-1 under each
+    randomization m of ms, a range of consecutive replicates, as a
+    (len(ms), n1 - n0) array, replicate-major; entry (m, n) must be
+    deterministic given (m, n) and the seed bound at construction, however
+    the calls are split. cost is the per-sample cost in the active cost
+    model (dof count or measured seconds). Under a measured cost, batch
+    reports each call's seconds through record(seconds, samples), which
+    folds them into cost; record is None when cost is fixed.
     """
 
     level: int
     cost: float
-    batch: Callable[[int, int, int], np.ndarray]
+    batch: Callable[[range, int, int], np.ndarray]
     record: Optional[Callable[[float, int], None]] = None
 
 
@@ -76,7 +78,7 @@ def qmc_estimate(sampler: LevelSampler, N: int, M: int):
     """
     if N < 1 or M < 2:
         raise ValueError("need N >= 1 and M >= 2")
-    means = np.array([np.mean(sampler.batch(m, 0, N)) for m in range(M)])
+    means = sampler.batch(range(M), 0, N).mean(axis=1)
     return float(means.mean()), float(means.var(ddof=1) / M), means
 
 
@@ -207,8 +209,7 @@ def mlqmc_run(
 
     def add_level():
         ell = len(accums)
-        y = np.array([samplers[ell].batch(m, 0, 1).sum() for m in range(M)])
-        accums.append(_LevelAccum(1, y))
+        accums.append(_LevelAccum(1, samplers[ell].batch(range(M), 0, 1).sum(axis=1)))
         state.trace.append(("extend", ell))
 
     def variance(ell: int) -> float:
@@ -233,10 +234,7 @@ def mlqmc_run(
             ]
             ell = int(np.argmax(ratios))  # argmax returns the first (lowest) on ties
             a = accums[ell]
-            extra = np.array(
-                [samplers[ell].batch(m, a.N, 2 * a.N).sum() for m in range(M)]
-            )
-            a.sums = a.sums + extra
+            a.sums = a.sums + samplers[ell].batch(range(M), a.N, 2 * a.N).sum(axis=1)
             a.N *= 2
             state.trace.append(("double", ell))
             refresh()
@@ -306,7 +304,7 @@ def mlmc_run(
     while True:
         for ell, acc in enumerate(accums):
             if acc.N < targets[ell]:
-                acc.add(samplers[ell].batch(0, acc.N, targets[ell]))
+                acc.add(samplers[ell].batch(range(1), acc.N, targets[ell])[0])
         V = [a.var() for a in accums]
         C = [samplers[l].cost for l in range(len(accums))]
         opt = mlmc_optimal_allocation(V, C, eps, theta)
@@ -361,7 +359,7 @@ def screening_run(samplers: Sequence[LevelSampler], N_screen: int, M: int) -> Di
         raise ValueError("need at least 16 screening samples")
     mean_Y, var_Y, cost = [], [], []
     for s in samplers:
-        ys = np.concatenate([s.batch(m, 0, N_screen) for m in range(M)])
+        ys = s.batch(range(M), 0, N_screen).ravel()
         mean_Y.append(float(ys.mean()))
         var_Y.append(float(ys.var(ddof=1)))
         cost.append(s.cost)
@@ -376,16 +374,18 @@ def screening_run(samplers: Sequence[LevelSampler], N_screen: int, M: int) -> Di
 def nvar_diagnostic(samplers: Sequence[LevelSampler], N_list: Sequence[int], M: int):
     """Table of log2(N * estimator variance) per level and sample count.
 
-    Flat rows signal the plain MC rate; a decreasing trend is the QMC-like
-    pre-asymptotic regime.
+    Each level draws one (M, max N_list) block; the estimate at N takes
+    each replicate's mean over its first N samples. Flat rows signal the
+    plain MC rate; a decreasing trend is the QMC-like pre-asymptotic
+    regime.
     """
-    for N in N_list:
-        if N & (N - 1):
-            raise ValueError("sample counts must be powers of two")
+    if M < 2 or any(N < 1 or N & (N - 1) for N in N_list):
+        raise ValueError("need M >= 2 and sample counts that are powers of two")
     rows = []
     for s in samplers:
+        ys = s.batch(range(M), 0, int(max(N_list, default=0)))
         for N in N_list:
-            _, vom, _ = qmc_estimate(s, int(N), M)
+            vom = float(ys[:, :N].mean(axis=1).var(ddof=1) / M)
             rows.append((s.level, int(N), float(np.log2(max(N * vom, 1e-300)))))
     return rows
 

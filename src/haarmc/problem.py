@@ -21,7 +21,6 @@ from .lowdisc import (
     PURPOSE_NOISE,
     PURPOSE_SHIFT,
     DigitalShift,
-    RandomStream,
     SobolGenerator,
     StreamChunk,
     inverse_normal_cdf,
@@ -170,46 +169,53 @@ def build_level_contexts(
     return contexts
 
 
-def _qmc_driver(ctx: LevelContext, seed: int, m: int, use_qmc: bool):
-    """The Sobol' generator and the digital shift of replicate m that drive
-    ctx's QMC block; (None, None) selects plain Monte Carlo."""
-    if not use_qmc:
-        return None, None
-    qd = ctx.layout.qmc_dim
-    shift = DigitalShift.from_stream(
-        RandomStream(seed, ctx.position, m, 0, PURPOSE_SHIFT), qd
-    )
-    return SobolGenerator(qd), shift
+def _shifts(ctx: LevelContext, seed: int, ms: range) -> DigitalShift:
+    """The digital shifts of replicates ms, one mask row each; replicate m's
+    is drawn from the stream (seed, position, m, 0, PURPOSE_SHIFT)."""
+    streams = StreamChunk(seed, ctx.position, np.arange(ms.start, ms.stop), 0, PURPOSE_SHIFT)
+    masks = np.empty((len(ms), ctx.layout.qmc_dim), dtype=np.uint64)
+    for k in range(len(ms)):
+        streams.select(k)
+        masks[k] = DigitalShift.from_stream(streams, masks.shape[1]).masks
+    return DigitalShift(masks)
 
 
-def _draw_inputs(
-    ctx: LevelContext,
-    seed: int,
-    m: int,
-    n0: int,
-    n1: int,
-    gen: Optional[SobolGenerator],
-    shift: Optional[DigitalShift],
-):
-    """Coefficient and cell-block draws for samples n0..n1-1, honoring the
-    fixed per-sample order: QMC block, MC wavelet block, cell block.
-    gen=None draws the whole wavelet block from the sample's stream."""
+def _draw_inputs(ctx: LevelContext, seed: int, ms: range, n0: int, n1: int, use_qmc: bool):
+    """Coefficient and cell-block draws of samples n0..n1-1 of replicates
+    ms, yielded as (z, z_cells) for consecutive slices of ctx.chunk_size
+    rows of the replicate-major (m, n) grid (the last may be shorter).
+
+    Each sample honours the fixed order QMC block, MC wavelet block, cell
+    block; without QMC its whole wavelet block comes from its stream.
+    """
     B = n1 - n0
+    m = np.repeat(np.arange(ms.start, ms.stop), B)
+    n = np.tile(np.arange(n0, n1), len(ms))
     lay = ctx.layout
-    z = np.empty((B, lay.total_dim))
-    zc = np.empty((B, ctx.tables.cell_block_size))
-    q = 0
-    if gen is not None:
-        pts = shifted_point(sobol_points(gen, np.arange(n0, n1)), shift)
-        z[:, : lay.qmc_dim] = inverse_normal_cdf(safe_uniform(pts))
-        q = lay.qmc_dim
-    streams = StreamChunk(seed, ctx.position, m, n0, n1, PURPOSE_NOISE)
-    for i in range(B):
-        streams.select(n0 + i)
-        if q < lay.total_dim:
-            z[i, q:] = normal_vector(streams, lay.total_dim - q)
-        zc[i] = normal_vector(streams, zc.shape[1])
-    return z, zc.reshape(B, ctx.tables.n_cells, ctx.tables.dim + 1)
+    step = ctx.chunk_size
+    q = lay.qmc_dim if use_qmc else 0
+    if q:
+        gen = SobolGenerator(q)
+        shifts = _shifts(ctx, seed, ms)
+        # With B <= step the call's points fit a chunk's budget and serve all
+        # its chunks; a chunk shorter than B holds each sample index at most
+        # once, so evaluating its own rows repeats nothing.
+        points = sobol_points(gen, np.arange(n0, n1)) if B <= step else None
+    for a in range(0, m.size, step):
+        mc, nc = m[a : a + step], n[a : a + step]
+        z = np.empty((mc.size, lay.total_dim))
+        zc = np.empty((mc.size, ctx.tables.cell_block_size))
+        if q:
+            pts = sobol_points(gen, nc) if points is None else points[nc - n0]
+            shift = DigitalShift(shifts.masks[mc - ms.start])
+            z[:, :q] = inverse_normal_cdf(safe_uniform(shifted_point(pts, shift)))
+        streams = StreamChunk(seed, ctx.position, mc, nc, PURPOSE_NOISE)
+        for i in range(mc.size):
+            streams.select(i)
+            if q < lay.total_dim:
+                z[i, q:] = normal_vector(streams, lay.total_dim - q)
+            zc[i] = normal_vector(streams, zc.shape[1])
+        yield z, zc.reshape(mc.size, ctx.tables.n_cells, ctx.tables.dim + 1)
 
 
 def _matern_batch(ctx: LevelContext, z: np.ndarray, z_cells: np.ndarray):
@@ -221,22 +227,20 @@ def _matern_batch(ctx: LevelContext, z: np.ndarray, z_cells: np.ndarray):
     ]
 
 
-def _y_batch(
-    ctx: LevelContext, seed: int, m: int, n0: int, n1: int, gen, shift
-) -> np.ndarray:
-    """Y for samples n0..n1-1: P = squared L2 norm of the pressure on the
-    fine space, minus the same on the coarse space of a coupled level."""
-    out = np.empty(n1 - n0)
-    step = ctx.chunk_size
-    for a in range(n0, n1, step):
-        b = min(a + step, n1)
-        z, zc = _draw_inputs(ctx, seed, m, a, b, gen, shift)
+def _y_batch(ctx: LevelContext, seed: int, ms: range, n0: int, n1: int, use_qmc: bool):
+    """Y of samples n0..n1-1 of replicates ms, (len(ms), n1 - n0): P =
+    squared L2 norm of the pressure on the fine space, minus the same on
+    the coarse space of a coupled level."""
+    out = np.empty(len(ms) * (n1 - n0))
+    a = 0
+    for z, zc in _draw_inputs(ctx, seed, ms, n0, n1, use_qmc):
         p = [
             s.diffusion.norm_sq(s.diffusion.solve(u, ctx.params.mean_shift))
             for s, u in zip(ctx.spaces, _matern_batch(ctx, z, zc))
         ]
-        out[a - n0 : b - n0] = p[0] - p[1] if ctx.coupled else p[0]
-    return out
+        out[a : a + len(z)] = p[0] - p[1] if ctx.coupled else p[0]
+        a += len(z)
+    return out.reshape(len(ms), n1 - n0)
 
 
 def make_level_samplers(
@@ -267,18 +271,14 @@ def _make_sampler(ctx, seed, use_qmc, wall):
             timing["samples"] += samples
             sampler.cost = timing["seconds"] / timing["samples"]
 
-    # replicate m's Sobol' generator and digital shift serve all its batches
-    drivers = {}
-
-    def batch(m: int, n0: int, n1: int) -> np.ndarray:
-        if m not in drivers:
-            drivers[m] = _qmc_driver(ctx, seed, m, use_qmc)
-        gen, shift = drivers[m]
+    def batch(ms: range, n0: int, n1: int) -> np.ndarray:
+        if not (isinstance(ms, range) and len(ms) and ms.step == 1 and ms.start >= 0):
+            raise ValueError("replicates must be a non-empty range m0..m1-1 with m0 >= 0")
         t0 = time.perf_counter()
-        y = _y_batch(ctx, seed, m, n0, n1, gen, shift)
+        y = _y_batch(ctx, seed, ms, n0, n1, use_qmc)
         if wall:
             # through the attribute, so a caller may collect the timings
-            sampler.record(time.perf_counter() - t0, n1 - n0)
+            sampler.record(time.perf_counter() - t0, y.size)
         return y
 
     sampler = LevelSampler(ctx.position, ctx.dof_cost, batch, record if wall else None)
@@ -291,8 +291,7 @@ def sample_fields(ctx: LevelContext, seed: int, m: int, n: int, use_qmc: bool = 
     Returns (field_fine, field_coarse_or_None); used by the field dump
     command and the statistical validation tests.
     """
-    gen, shift = _qmc_driver(ctx, seed, m, use_qmc)
-    z, zc = _draw_inputs(ctx, seed, m, n, n + 1, gen, shift)
+    z, zc = next(_draw_inputs(ctx, seed, range(m, m + 1), n, n + 1, use_qmc))
     fields = [u[0] + ctx.params.mean_shift for u in _matern_batch(ctx, z, zc)]
     return fields[0], fields[1] if ctx.coupled else None
 
@@ -302,7 +301,6 @@ def sample_noise(ctx: LevelContext, seed: int, m: int, n: int, use_qmc: bool = F
 
     Returns (b_fine, b_coarse_or_None).
     """
-    gen, shift = _qmc_driver(ctx, seed, m, use_qmc)
-    z, zc = _draw_inputs(ctx, seed, m, n, n + 1, gen, shift)
+    z, zc = next(_draw_inputs(ctx, seed, range(m, m + 1), n, n + 1, use_qmc))
     bs = apply_noise_maps(ctx.tables, ctx.layout, z, zc)
     return bs[0][0], bs[1][0] if ctx.coupled else None

@@ -7,7 +7,9 @@ restriction tables, root finding instead of rational approximation, and
 supermeshes clipped one polygon at a time instead of in batches.
 """
 
+import functools
 import itertools
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -17,7 +19,7 @@ from scipy.optimize import brentq
 from scipy.special import erfc
 
 from haarmc.fem import assemble_mass
-from haarmc.lowdisc import _BITS, _SCALE, SobolGenerator
+from haarmc.lowdisc import _BITS, _SCALE, PURPOSE_NOISE, SobolGenerator
 from haarmc.mesh import HaarMesh, SimplicialMesh, cell_volumes, vertex_injection_map
 from haarmc.sparse import SparseOperator
 from haarmc.supermesh import Supermesh
@@ -32,6 +34,25 @@ def mass_matrix(mesh):
     for cell, vol in zip(mesh.cells, cell_volumes(mesh)):
         M[np.ix_(cell, cell)] += vol * base
     return M
+
+
+@dataclass(frozen=True)
+class RandomStream:
+    """The stream (seed, level, m, n, purpose) as numpy defines it: a PCG64
+    seeded from SeedSequence((seed, level + 1, m, n, purpose)), one stream
+    at a time, where `haarmc.lowdisc.StreamChunk` reproduces the hash to
+    open many at once."""
+
+    seed: int
+    level: int = 0
+    m: int = 0
+    n: int = 0
+    purpose: int = PURPOSE_NOISE
+
+    @functools.cached_property
+    def generator(self) -> np.random.Generator:
+        entropy = (self.seed, self.level + 1, self.m, self.n, self.purpose)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def sparse_operator(A):
@@ -399,19 +420,13 @@ def noise_covariances(tables, layout):
 
 
 def sample_field_batch(ctx, seed: int, m: int, n0: int, n1: int, use_qmc: bool = False):
-    """Matern fields on G for samples n0..n1-1 (rows), mean shift applied,
-    drawn through the sampler's own input path chunk by chunk."""
-    from haarmc.problem import _draw_inputs, _matern_batch, _qmc_driver
+    """Matern fields on G for samples n0..n1-1 (rows) of replicate m, mean
+    shift applied, drawn through the sampler's own input path chunk by
+    chunk."""
+    from haarmc.problem import _draw_inputs, _matern_batch
 
-    gen, shift = _qmc_driver(ctx, seed, m, use_qmc)
-    out = np.empty((n1 - n0, ctx.spaces[0].g_mesh.n_vertices))
-    step = ctx.chunk_size
-    for a in range(n0, n1, step):
-        b = min(a + step, n1)
-        z, zc = _draw_inputs(ctx, seed, m, a, b, gen, shift)
-        u_f = _matern_batch(ctx, z, zc)[0]
-        out[a - n0 : b - n0] = u_f + ctx.params.mean_shift
-    return out
+    chunks = _draw_inputs(ctx, seed, range(m, m + 1), n0, n1, use_qmc)
+    return np.vstack([_matern_batch(ctx, z, zc)[0] for z, zc in chunks]) + ctx.params.mean_shift
 
 
 # ------------------------------------------------------------- supermesh

@@ -16,7 +16,6 @@ from haarmc.fem import MaternParams
 from haarmc.lowdisc import (
     PURPOSE_SHIFT,
     DigitalShift,
-    RandomStream,
     SobolGenerator,
     inverse_normal_cdf,
     shifted_point,
@@ -45,7 +44,7 @@ from haarmc.problem import (
 from haarmc.supermesh import build_supermesh, build_three_way_supermesh
 from haarmc.whitenoise import apply_noise_maps, build_layout, build_tables
 import oracles
-from oracles import haar_cell_index, sample_field_batch
+from oracles import RandomStream, haar_cell_index, sample_field_batch
 from test_mlqmc import _reference_greedy, const_sampler
 
 BIG1 = Box((-1.0,), (1.0,))

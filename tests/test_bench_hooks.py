@@ -27,17 +27,14 @@ HOOKED = [
 ]
 
 
-def test_traced_child_reaches_every_hooked_layer(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {"dim": 1, "mesh_levels": [1, 2], "haar_levels": [1, 1], "M": 2, "N_screen": 16}
-        )
-    )
-    report = tmp_path / "report.json"
+def run_traced_child(tmp_path, command, config):
+    """The report of one traced child run of `haarmc COMMAND` on config."""
+    cfg = tmp_path / f"{command}.json"
+    cfg.write_text(json.dumps(config))
+    report = tmp_path / f"{command}-report.json"
     cmd = [
         sys.executable, str(ROOT / "bench" / "child.py"), str(report), "1", "--",
-        "screen", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "1",
+        command, "--config", str(cfg), "--out", str(tmp_path / command), "--threads", "1",
     ]
     # child.py imports haarmc from the src directory under its working directory
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
@@ -45,5 +42,29 @@ def test_traced_child_reaches_every_hooked_layer(tmp_path):
     assert proc.returncode == 0, proc.stderr
     data = json.loads(report.read_text())
     assert data["exit"] == 0
+    return data
+
+
+def test_traced_child_reaches_every_hooked_layer(tmp_path):
+    data = run_traced_child(
+        tmp_path,
+        "screen",
+        {"dim": 1, "mesh_levels": [1, 2], "haar_levels": [1, 1], "M": 2, "N_screen": 16},
+    )
     missing = [name for name in HOOKED if name not in data["names"]]
     assert not missing, f"traced run recorded no span for {missing}"
+
+
+def test_traced_child_wraps_estimate_batches(tmp_path):
+    # child.py counts a batch's samples as args[2] - args[1] of
+    # batch(ms, n0, n1), so the sampler calls of an mlqmc estimate must
+    # reach its wrapper
+    data = run_traced_child(
+        tmp_path,
+        "estimate",
+        {
+            "dim": 1, "mesh_levels": [1, 2], "haar_levels": [1, 1], "M": 2,
+            "estimator": "mlqmc", "eps": [1e-2],
+        },
+    )
+    assert "problem.batch" in data["names"]

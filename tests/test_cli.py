@@ -111,6 +111,9 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, matern={"lambda": "0.3"})
     assert main(["screen", "--config", str(cfg)]) == 2
     assert "config error at matern.lambda" in capsys.readouterr().err
+    cfg = write_config(tmp_path, N_list=[])
+    assert main(["nvar", "--config", str(cfg)]) == 2
+    assert "config error at N_list" in capsys.readouterr().err
 
 
 def test_screen_reruns_are_byte_identical(tmp_path):

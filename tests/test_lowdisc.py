@@ -17,7 +17,6 @@ from haarmc.lowdisc import (
     PURPOSE_NOISE,
     PURPOSE_SHIFT,
     DigitalShift,
-    RandomStream,
     SobolGenerator,
     StreamChunk,
     inverse_normal_cdf,
@@ -27,9 +26,16 @@ from haarmc.lowdisc import (
     sobol_points,
 )
 import oracles
-from oracles import normal_inverse, sobol_gray_recurrence, sobol_point
+from oracles import RandomStream, normal_inverse, sobol_gray_recurrence, sobol_point
 
 GEN64 = SobolGenerator(64)
+
+
+def one_stream(seed, level=0, m=0, n=0, purpose=PURPOSE_NOISE):
+    """The chunk of the one stream (seed, level, m, n, purpose), selected."""
+    chunk = StreamChunk(seed, level, m, n, purpose)
+    chunk.select(0)
+    return chunk
 
 
 def test_first_point_is_zero():
@@ -172,34 +178,39 @@ def test_inverse_normal_domain():
 
 
 def test_normal_vector_empty():
-    assert normal_vector(RandomStream(0), 0).shape == (0,)
+    assert normal_vector(one_stream(0), 0).shape == (0,)
 
 
 def test_stream_determinism_and_paths():
-    a = normal_vector(RandomStream(42, 3, 1, 7), 16)
-    b = normal_vector(RandomStream(42, 3, 1, 7), 16)
+    a = normal_vector(one_stream(42, 3, 1, 7), 16)
+    b = normal_vector(one_stream(42, 3, 1, 7), 16)
     np.testing.assert_array_equal(a, b)
-    c = normal_vector(RandomStream(42, 3, 1, 8), 16)
+    c = normal_vector(one_stream(42, 3, 1, 8), 16)
     assert not np.array_equal(a, c)
-    d = normal_vector(RandomStream(42, 3, 1, 7, PURPOSE_SHIFT), 16)
+    d = normal_vector(one_stream(42, 3, 1, 7, PURPOSE_SHIFT), 16)
     assert not np.array_equal(a, d)
+    e = normal_vector(one_stream(42, 3, 2, 7), 16)
+    assert not np.array_equal(a, e)
 
 
 def test_stream_instance_is_stateful():
-    # one instance advances; a fresh instance replays from the start
-    s = RandomStream(9)
+    # a selected stream advances; selecting it again replays from the start
+    s = one_stream(9)
     first = normal_vector(s, 4)
     second = normal_vector(s, 4)
     assert not np.array_equal(first, second)
-    replay = normal_vector(RandomStream(9), 8)
+    s.select(0)
+    replay = normal_vector(s, 8)
     np.testing.assert_array_equal(replay, np.concatenate([first, second]))
 
 
 def test_stream_rejects_bad_path():
     with pytest.raises(ValueError):
-        RandomStream(-1)
+        StreamChunk(-1, 0, 0, 0, PURPOSE_NOISE)
     with pytest.raises(ValueError):
-        RandomStream(0, n=-2)
+        StreamChunk(0, 0, 0, -2, PURPOSE_NOISE)
+    with pytest.raises(ValueError):
+        StreamChunk(0, 0, [0, -1], 0, PURPOSE_NOISE)
 
 
 def _seed_sequence(seed, level, m, n, purpose):
@@ -238,40 +249,54 @@ def test_stream_hash_and_pcg64_state_match_numpy():
         ]
         state = lowdisc._seed_state(np.array([words], dtype=np.uint32))
         np.testing.assert_array_equal(state[0], ss.generate_state(4, np.uint64), str(t))
-        chunk = StreamChunk(seed, level, m, n, n + 1, purpose)
-        chunk.select(n)
-        assert chunk._bits.state == np.random.PCG64(ss).state, t
+        assert one_stream(*t)._bits.state == np.random.PCG64(ss).state, t
 
 
 def test_stream_chunk_crossing_2_32_matches_numpy_draws():
-    # the chunk holds one- and two-word sample indices
-    n0 = 2**32 - 5
-    chunk = StreamChunk(2**64 + 1, -1, 0, n0, n0 + 11, PURPOSE_NOISE)
-    for n in (n0 + 10, n0, n0 + 5, n0 + 4):  # any order, and revisits
-        chunk.select(n)
-        ref = np.random.Generator(np.random.PCG64(_seed_sequence(2**64 + 1, -1, 0, n, 2)))
-        np.testing.assert_array_equal(
-            normal_vector(chunk, 7), ref.standard_normal(7), str(n)
-        )
+    # each chunk holds a replicate-major (m, n) grid, with one- and two-word
+    # replicate and sample indices
+    for m0, m1, n0, n1 in (
+        (0, 1, 2**32 - 5, 2**32 + 6),  # one replicate, n on both sides of 2^32
+        (2**32 - 2, 2**32 + 2, 2**32 - 2, 2**32 + 1),  # m and n on both sides
+        (3, 6, 0, 4),  # one-word indices only
+        (2**64 - 3, 2**64, 2**64 - 2, 2**64),  # the largest indices
+    ):
+        grid = [(m, n) for m in range(m0, m1) for n in range(n0, n1)]
+        ms, ns = (np.array(v, dtype=np.uint64) for v in zip(*grid))
+        chunk = StreamChunk(2**64 + 1, -1, ms, ns, PURPOSE_NOISE)
+        order = list(range(len(grid)))
+        random.Random(len(grid)).shuffle(order)
+        for k in order + order[:3]:  # any order, and revisits
+            chunk.select(k)
+            m, n = grid[k]
+            ref = np.random.Generator(np.random.PCG64(_seed_sequence(2**64 + 1, -1, m, n, 2)))
+            np.testing.assert_array_equal(
+                normal_vector(chunk, 7), ref.standard_normal(7), str((m, n))
+            )
 
 
 def test_random_stream_is_the_one_stream_chunk():
+    # the oracle's one stream at a time against lowdisc's chunk of one
     for t in _stream_tuples()[:50]:
-        draws = normal_vector(RandomStream(*t), 5)
-        ref = np.random.Generator(np.random.PCG64(_seed_sequence(*t)))
-        np.testing.assert_array_equal(draws, ref.standard_normal(5), str(t))
+        draws = normal_vector(one_stream(*t), 5)
+        np.testing.assert_array_equal(draws, normal_vector(RandomStream(*t), 5), str(t))
 
 
 def test_stream_chunk_rejects_bad_ranges():
-    for args in ((0, 0, 0, 5, 4, 2), (0, 0, 0, 0, 2**64 + 1, 2), (-1, 0, 0, 0, 1, 2)):
+    for args in (
+        (0, 0, 0, 2**64, 2),
+        (0, 0, 2**64, 0, 2),
+        (-1, 0, 0, 0, 2),
+        (0, -2, 0, 0, 2),
+        (0, 0, [1, 2], [0, 1, 2], 2),
+        (0, 0, 0, [0.5], 2),
+    ):
         with pytest.raises(ValueError):
             StreamChunk(*args)
-    with pytest.raises(ValueError):
-        RandomStream(0, n=2**64)
 
 
 def test_normal_vector_mean():
-    draws = normal_vector(RandomStream(2024), 10**6)
+    draws = normal_vector(one_stream(2024), 10**6)
     assert abs(draws.mean()) < 0.004
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from haarmc.lowdisc import (
     PURPOSE_SHIFT,
     DigitalShift,
-    RandomStream,
     SobolGenerator,
     normal_vector,
     safe_uniform,
@@ -33,30 +32,37 @@ from haarmc.mlqmc import (
     write_nvar_csv,
     write_screening_csv,
 )
+from oracles import RandomStream
 
 
 def const_sampler(level, value, cost=1.0):
-    return LevelSampler(level, cost, lambda m, n0, n1, v=value: np.full(n1 - n0, v))
+    return LevelSampler(
+        level, cost, lambda ms, n0, n1, v=value: np.full((len(ms), n1 - n0), v)
+    )
 
 
 def identity_qmc_sampler(seed=0, level=0):
     gen = SobolGenerator(1)
 
-    def batch(m, n0, n1):
-        shift = DigitalShift.from_stream(
-            RandomStream(seed, level, m, 0, PURPOSE_SHIFT), 1
-        )
-        pts = shifted_point(sobol_points(gen, np.arange(n0, n1)), shift)
-        return safe_uniform(pts)[:, 0]
+    def batch(ms, n0, n1):
+        out = np.empty((len(ms), n1 - n0))
+        for row, m in zip(out, ms):
+            shift = DigitalShift.from_stream(
+                RandomStream(seed, level, m, 0, PURPOSE_SHIFT), 1
+            )
+            pts = shifted_point(sobol_points(gen, np.arange(n0, n1)), shift)
+            row[:] = safe_uniform(pts)[:, 0]
+        return out
 
     return LevelSampler(level, 1.0, batch)
 
 
 def mc_normal_sampler(seed=0, level=0):
-    def batch(m, n0, n1):
-        out = np.empty(n1 - n0)
-        for i, n in enumerate(range(n0, n1)):
-            out[i] = normal_vector(RandomStream(seed, level, m, n), 1)[0]
+    def batch(ms, n0, n1):
+        out = np.empty((len(ms), n1 - n0))
+        for row, m in zip(out, ms):
+            for i, n in enumerate(range(n0, n1)):
+                row[i] = normal_vector(RandomStream(seed, level, m, n), 1)[0]
         return out
 
     return LevelSampler(level, 1.0, batch)
@@ -141,9 +147,9 @@ def test_screening_synthetic_rates():
     for l in range(5):
         amp = math.sqrt(8.0) ** (-l)
 
-        def batch(m, n0, n1, c=4.0 ** (-l), a=amp):
+        def batch(ms, n0, n1, c=4.0 ** (-l), a=amp):
             signs = (-1.0) ** np.arange(n0, n1)
-            return c + a * signs
+            return np.tile(c + a * signs, (len(ms), 1))
 
         samplers.append(LevelSampler(l, 4.0**l, batch))
     rep = screening_run(samplers, 64, 4)
@@ -264,6 +270,10 @@ def test_nvar_diagnostic_trends():
     assert abs(flat[-1][2] - flat[0][2]) < 1.5
     with pytest.raises(ValueError):
         nvar_diagnostic([identity_qmc_sampler()], [24], 8)
+    with pytest.raises(ValueError):
+        nvar_diagnostic([identity_qmc_sampler()], [0], 8)
+    with pytest.raises(ValueError):
+        nvar_diagnostic([identity_qmc_sampler()], [16], 1)
 
 
 def test_csv_writers(tmp_path):

@@ -10,7 +10,9 @@ import pytest
 from haarmc import fem, problem
 from haarmc.fem import MaternParams
 from haarmc.lowdisc import (
-    RandomStream,
+    PURPOSE_SHIFT,
+    DigitalShift,
+    SobolGenerator,
     inverse_normal_cdf,
     normal_vector,
     safe_uniform,
@@ -28,7 +30,7 @@ from haarmc.problem import (
 )
 from haarmc.whitenoise import apply_noise_maps
 import oracles
-from oracles import sample_field_batch
+from oracles import RandomStream, sample_field_batch
 
 PARAMS_2D = MaternParams.lognormal_matched(2, 0.25)
 PARAMS_1D = MaternParams.lognormal_matched(1, 0.25)
@@ -70,11 +72,14 @@ def test_sampler_determinism():
         a = make_level_samplers(ctxs, seed=3, use_qmc=use_qmc)
         b = make_level_samplers(ctxs, seed=3, use_qmc=use_qmc)
         for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.batch(0, 0, 4), sb.batch(0, 0, 4))
-    y3 = make_level_samplers(ctxs, seed=3)[0].batch(0, 0, 4)
-    y4 = make_level_samplers(ctxs, seed=4)[0].batch(0, 0, 4)
+            np.testing.assert_array_equal(
+                sa.batch(range(1), 0, 4), sb.batch(range(1), 0, 4)
+            )
+    y3 = make_level_samplers(ctxs, seed=3)[0].batch(range(1), 0, 4)
+    y4 = make_level_samplers(ctxs, seed=4)[0].batch(range(1), 0, 4)
+    assert y3.shape == (1, 4)
     assert not np.array_equal(y3, y4)
-    y_mc = make_level_samplers(ctxs, seed=3, use_qmc=False)[0].batch(0, 0, 4)
+    y_mc = make_level_samplers(ctxs, seed=3, use_qmc=False)[0].batch(range(1), 0, 4)
     assert not np.array_equal(y3, y_mc)
 
 
@@ -92,7 +97,7 @@ def test_sampler_matches_per_sample_diffusion_path(dim):
         return p @ (fem.restrict_interior(fem.assemble_mass(g), g) @ p)
 
     for ctx, s in zip(ctxs, samplers):
-        y = s.batch(1, 0, 6)
+        y = s.batch(range(1, 2), 0, 6)[0]
         for n in range(6):
             uf, uc = sample_fields(ctx, seed=7, m=1, n=n, use_qmc=True)
             ref = functional(ctx.spaces[0].g_mesh, uf)
@@ -106,8 +111,8 @@ def test_sampler_output_does_not_depend_on_batch_split():
     for dim, pars in ((1, PARAMS_1D), (2, PARAMS_2D)):
         ctxs = build_level_contexts(dim, [2, 3], [1, 1], pars)
         for s in make_level_samplers(ctxs, seed=2):
-            whole = s.batch(0, 0, 10)
-            split = np.concatenate([s.batch(0, 0, 3), s.batch(0, 3, 10)])
+            whole = s.batch(range(1), 0, 10)
+            split = np.hstack([s.batch(range(1), 0, 3), s.batch(range(1), 3, 10)])
             np.testing.assert_array_equal(split, whole)
 
 
@@ -125,15 +130,15 @@ def test_one_diffusion_solver_per_g_mesh_built_at_set_up(monkeypatch):
     # the fine G mesh of position p is the coarse G mesh of position p + 1
     assert [id(m) for m in built] == [id(c.spaces[0].g_mesh) for c in ctxs]
     for s in samplers:
-        s.batch(0, 0, 2)
+        s.batch(range(1), 0, 2)
     assert len(built) == len(ctxs)
 
 
 def test_shift_index_changes_qmc_draws():
     ctxs = build_level_contexts(1, [2], [1], PARAMS_1D)
     s = make_level_samplers(ctxs, seed=3)[0]
-    assert not np.array_equal(s.batch(0, 0, 4), s.batch(1, 0, 4))
-    np.testing.assert_array_equal(s.batch(2, 0, 4), s.batch(2, 0, 4))
+    assert not np.array_equal(s.batch(range(0, 1), 0, 4), s.batch(range(1, 2), 0, 4))
+    np.testing.assert_array_equal(s.batch(range(2, 3), 0, 4), s.batch(range(2, 3), 0, 4))
 
 
 def _zero_noise_params(dim):
@@ -153,9 +158,11 @@ def test_zero_eta_reproduces_deterministic_functional():
         M = fem.restrict_interior(fem.assemble_mass(g), g)
         expected.append(p @ (M @ p))
     samplers = make_level_samplers(ctxs, seed=1)
-    np.testing.assert_allclose(samplers[0].batch(0, 0, 3), expected[0], rtol=1e-12)
     np.testing.assert_allclose(
-        samplers[1].batch(0, 0, 3), expected[1] - expected[0], rtol=1e-10
+        samplers[0].batch(range(1), 0, 3)[0], expected[0], rtol=1e-12
+    )
+    np.testing.assert_allclose(
+        samplers[1].batch(range(1), 0, 3)[0], expected[1] - expected[0], rtol=1e-10
     )
 
 
@@ -204,8 +211,7 @@ def test_sample_noise_deterministic():
 def test_sample_noise_matches_sampler_draw_path():
     # the dumped pairings are the operator applied to the sampler's inputs
     ctx = build_level_contexts(2, [1, 2], [1, 1], PARAMS_2D)[1]
-    gen, shift = problem._qmc_driver(ctx, 4, 2, True)
-    z, zc = problem._draw_inputs(ctx, 4, 2, 0, 3, gen, shift)
+    z, zc = next(problem._draw_inputs(ctx, 4, range(2, 3), 0, 3, True))
     bs = apply_noise_maps(ctx.tables, ctx.layout, z, zc)
     for n in range(3):
         f, c = sample_noise(ctx, seed=4, m=2, n=n, use_qmc=True)
@@ -213,46 +219,75 @@ def test_sample_noise_matches_sampler_draw_path():
         np.testing.assert_array_equal(c, bs[1][n])
 
 
+def set_chunk_size(monkeypatch, ctx, rows):
+    """Set CHUNK_FLOAT_BUDGET so that ctx's chunks hold `rows` samples."""
+    # under a budget far above a sample's floats, budget // chunk_size is
+    # exactly the floats per sample
+    monkeypatch.setattr(problem, "CHUNK_FLOAT_BUDGET", 2**60)
+    per_sample = 2**60 // ctx.chunk_size
+    monkeypatch.setattr(problem, "CHUNK_FLOAT_BUDGET", rows * per_sample)
+    assert ctx.chunk_size == rows
+
+
 @pytest.mark.parametrize("use_qmc", [True, False])
-def test_draw_inputs_match_per_sample_streams_at_any_chunking(use_qmc):
+def test_draw_inputs_match_per_sample_streams_at_any_chunking(use_qmc, monkeypatch):
     ctx = build_level_contexts(2, [1, 2], [2, 2], PARAMS_2D)[1]
-    seed, m, count = 3, 5, 32
-    gen, shift = problem._qmc_driver(ctx, seed, m, use_qmc)
+    seed, ms, count = 3, range(5, 7), 32
     q = ctx.layout.qmc_dim if use_qmc else 0
     k = ctx.layout.total_dim - q
-    # oracle: one RandomStream per sample, as every sample is defined
-    ref_z = np.empty((count, k))
-    ref_zc = np.empty((count, ctx.tables.cell_block_size))
-    for n in range(count):
-        stream = RandomStream(seed, ctx.position, m, n)
-        ref_z[n] = normal_vector(stream, k)
-        ref_zc[n] = normal_vector(stream, ref_zc.shape[1])
-    for step in (1, 7, 32):
-        parts = [
-            problem._draw_inputs(ctx, seed, m, a, min(a + step, count), gen, shift)
-            for a in range(0, count, step)
-        ]
-        z = np.vstack([p[0] for p in parts])
-        zc = np.vstack([p[1] for p in parts])
-        np.testing.assert_array_equal(z[:, q:], ref_z)
-        np.testing.assert_array_equal(zc.reshape(count, -1), ref_zc)
+    # oracle: one RandomStream per sample and per shift, as each is defined
+    ref_z = np.empty((len(ms), count, k))
+    ref_zc = np.empty((len(ms), count, ctx.tables.cell_block_size))
+    ref_q = np.empty((len(ms), count, q))
+    for i, m in enumerate(ms):
+        for n in range(count):
+            stream = RandomStream(seed, ctx.position, m, n)
+            ref_z[i, n] = normal_vector(stream, k)
+            ref_zc[i, n] = normal_vector(stream, ref_zc.shape[2])
         if use_qmc:
-            pts = shifted_point(sobol_points(gen, np.arange(count)), shift)
-            np.testing.assert_array_equal(z[:, :q], inverse_normal_cdf(safe_uniform(pts)))
+            shift = DigitalShift.from_stream(
+                RandomStream(seed, ctx.position, m, 0, PURPOSE_SHIFT), q
+            )
+            pts = shifted_point(sobol_points(SobolGenerator(q), np.arange(count)), shift)
+            ref_q[i] = inverse_normal_cdf(safe_uniform(pts))
+    # chunks of one sample, chunks across replicate boundaries, one chunk per
+    # replicate, and one chunk
+    for step in (1, 7, count, 2 * count):
+        set_chunk_size(monkeypatch, ctx, step)
+        parts = list(problem._draw_inputs(ctx, seed, ms, 0, count, use_qmc))
+        assert [len(p[0]) for p in parts[:-1]] == [step] * (len(parts) - 1)
+        z = np.vstack([p[0] for p in parts]).reshape(len(ms), count, -1)
+        zc = np.vstack([p[1] for p in parts]).reshape(len(ms), count, -1)
+        np.testing.assert_array_equal(z[:, :, q:], ref_z)
+        np.testing.assert_array_equal(zc, ref_zc)
+        np.testing.assert_array_equal(z[:, :, :q], ref_q)
 
 
-def test_batches_of_one_replicate_share_its_digital_shift(monkeypatch):
+@pytest.mark.parametrize("use_qmc", [True, False])
+def test_replicate_rows_match_single_replicate_batches(use_qmc, monkeypatch):
+    # 1D band solves are bit-identical whatever a chunk holds, so each row
+    # of a stacked call equals its replicate's own call, also when chunks
+    # cross replicate boundaries
     ctx = build_level_contexts(1, [2, 3], [1, 1], PARAMS_1D)[1]
-    sampler = make_level_samplers([ctx], seed=1)[0]
-    calls = []
-    driver = problem._qmc_driver
-    monkeypatch.setattr(
-        problem, "_qmc_driver", lambda *a: calls.append(a[2]) or driver(*a)
-    )
-    y = np.concatenate([sampler.batch(3, 0, 2), sampler.batch(3, 2, 8), sampler.batch(0, 0, 8)])
-    assert calls == [3, 0]
-    whole = make_level_samplers([ctx], seed=1)[0]
-    np.testing.assert_array_equal(y, np.concatenate([whole.batch(3, 0, 8), whole.batch(0, 0, 8)]))
+    s = make_level_samplers([ctx], seed=1, use_qmc=use_qmc)[0]
+    M, n0, n1 = 4, 2, 7
+    singles = [s.batch(range(m, m + 1), n0, n1) for m in range(M)]
+    assert all(y.shape == (1, n1 - n0) for y in singles)
+    for step in (3, 64):
+        set_chunk_size(monkeypatch, ctx, step)
+        y = s.batch(range(0, M), n0, n1)
+        assert y.shape == (M, n1 - n0)
+        for m in range(M):
+            np.testing.assert_array_equal(y[m], singles[m][0])
+        np.testing.assert_array_equal(s.batch(range(1, 3), n0, n1), y[1:3])
+
+
+def test_batch_rejects_bad_replicate_ranges():
+    ctx = build_level_contexts(1, [2], [1], PARAMS_1D)[0]
+    s = make_level_samplers([ctx], seed=1)[0]
+    for ms in (range(0), range(3, 1), range(0, 4, 2), range(-1, 2), 0, [0, 1]):
+        with pytest.raises(ValueError):
+            s.batch(ms, 0, 2)
 
 
 def test_contexts_share_one_layout_per_haar_level():
@@ -265,7 +300,7 @@ def test_wall_cost_model():
     ctxs = build_level_contexts(1, [2], [1], PARAMS_1D)
     s = make_level_samplers(ctxs, seed=1, cost_model="wall")[0]
     dof = s.cost
-    s.batch(0, 0, 8)
+    s.batch(range(1), 0, 8)
     assert s.cost != dof and s.cost > 0
     with pytest.raises(ValueError):
         make_level_samplers(ctxs, seed=1, cost_model="cpu")
@@ -281,7 +316,9 @@ def test_wall_cost_updates_are_not_lost_across_threads(monkeypatch):
         return ticks.t
 
     monkeypatch.setattr(problem.time, "perf_counter", clock)
-    monkeypatch.setattr(problem, "_y_batch", lambda ctx, seed, m, n0, n1, *a: np.zeros(n1 - n0))
+    monkeypatch.setattr(
+        problem, "_y_batch", lambda ctx, seed, ms, n0, n1, *a: np.zeros((len(ms), n1 - n0))
+    )
     ctxs = build_level_contexts(1, [2], [1], PARAMS_1D)
     s = make_level_samplers(ctxs, seed=1, cost_model="wall")[0]
     sizes = [1 + (i % 3) for i in range(20000)]
@@ -289,7 +326,7 @@ def test_wall_cost_updates_are_not_lost_across_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(s.batch, 0, 0, k) for k in sizes]
+            futures = [pool.submit(s.batch, range(1), 0, k) for k in sizes]
             done, pending = wait(futures, timeout=60)
     finally:
         sys.setswitchinterval(interval)

@@ -15,9 +15,17 @@ import pytest
 
 from haarmc import whitenoise
 from haarmc.fem import MaternParams
-from haarmc.lowdisc import inverse_normal_cdf, safe_uniform, shifted_point, sobol_points
+from haarmc.lowdisc import (
+    PURPOSE_SHIFT,
+    DigitalShift,
+    SobolGenerator,
+    inverse_normal_cdf,
+    safe_uniform,
+    shifted_point,
+    sobol_points,
+)
 from haarmc.mesh import Box, HaarMesh, build_uniform_mesh
-from haarmc.problem import _draw_inputs, _qmc_driver, build_level_contexts, sample_noise
+from haarmc.problem import _draw_inputs, build_level_contexts, sample_noise
 from haarmc.supermesh import build_supermesh, build_three_way_supermesh
 from haarmc.whitenoise import (
     CouplingError,
@@ -176,8 +184,7 @@ def test_values_length_mismatch():
 # ------------------------------------------------------ hybrid coefficients
 
 def _coefficients(ctx, seed, n0, n1):
-    gen, shift = _qmc_driver(ctx, seed, 0, True)
-    return _draw_inputs(ctx, seed, 0, n0, n1, gen, shift)[0]
+    return np.vstack([z for z, _ in _draw_inputs(ctx, seed, range(1), n0, n1, True)])
 
 
 def test_hybrid_coefficients_deterministic():
@@ -194,8 +201,10 @@ def test_hybrid_coefficients_no_mc_block_in_1d():
     lay = ctx.layout
     assert lay.qmc_dim == lay.total_dim
     z = _coefficients(ctx, 1, 2, 3)[0]
-    gen, shift = _qmc_driver(ctx, 1, 0, True)
-    pt = shifted_point(sobol_points(gen, [2]), shift)
+    shift = DigitalShift.from_stream(
+        oracles.RandomStream(1, ctx.position, 0, 0, PURPOSE_SHIFT), lay.qmc_dim
+    )
+    pt = shifted_point(sobol_points(SobolGenerator(lay.qmc_dim), [2]), shift)
     np.testing.assert_array_equal(z, inverse_normal_cdf(safe_uniform(pt))[0])
     assert np.all(np.isfinite(z))
 
