@@ -306,15 +306,15 @@ def _usable_cores() -> int:
 
 def _pool_map(fn, items, threads: int):
     """[fn(x) for x in items], run by up to `threads` worker processes, and
-    no more than there are items or usable cores.
+    no more than there are items or usable cores, one item per task.
 
     The workers are forked after the caller has built everything fn reads,
     so they inherit fn and items instead of receiving them pickled: only
-    slice numbers go out, and results come back and are put in item order.
-    An exception raised by fn reaches the caller with its own type, a
-    worker that dies raises BrokenProcessPool, and the workers are joined
-    on every path. With one worker, or no `fork` start method on the
-    platform, the map runs serially in this process.
+    item numbers go out, and results come back in item order. An exception
+    raised by fn reaches the caller with its own type, a worker that dies
+    raises BrokenProcessPool, and the workers are joined on every path.
+    With one worker, or no `fork` start method on the platform, the map
+    runs serially in this process.
     """
     workers = min(threads, len(items), _usable_cores())
     if workers > 1:
@@ -323,68 +323,73 @@ def _pool_map(fn, items, threads: int):
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
-            # Interleaved slices items[k::stride]: each mixes all levels of
-            # a level-major task list, so slices cost about the same, and
-            # four per worker leave room to rebalance on a busy host while
-            # keeping round trips few (one per item cost 17 % on one core).
-            stride = min(len(items), 4 * workers)
             with ProcessPoolExecutor(
                 workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_start_worker,
-                initargs=(fn, items, stride),
+                initargs=(fn, items),
             ) as pool:
-                slices = list(pool.map(_run_slice, range(stride)))
-            out = [None] * len(items)
-            for k, results in enumerate(slices):
-                out[k::stride] = results
-            return out
+                return list(pool.map(_run_item, range(len(items))))
     return [fn(x) for x in items]
 
 
-# (fn, items, stride) of the pool a worker process serves; set only in workers
+# (fn, items) of the pool a worker process serves; set only in workers
 _worker_job = None
 
 
-def _start_worker(fn, items, stride: int) -> None:
+def _start_worker(fn, items) -> None:
     global _worker_job
-    _worker_job = (fn, items, stride)
+    _worker_job = (fn, items)
 
 
-def _run_slice(k: int) -> list:
-    fn, items, stride = _worker_job
-    return [fn(x) for x in items[k::stride]]
+def _run_item(k: int):
+    fn, items = _worker_job
+    return fn(items[k])
+
+
+def _replicate_blocks(M: int, N: int, chunk: int):
+    """Replicates 0..M-1 in near-equal consecutive blocks of at most
+    max(1, chunk // N) each: as many whole replicates of N samples as fill
+    one chunk."""
+    k = -(-M // max(1, chunk // N))
+    return [range(j * M // k, (j + 1) * M // k) for j in range(k)]
 
 
 def _measured_batch(samplers, N: int, task):
-    """Replicate m's samples 0..N-1 of one (level, m) task, with the
-    wall-cost updates the batch made returned instead of applied: in a
-    worker process they would be lost with the worker's copy of the
-    sampler."""
-    li, m = task
+    """Samples 0..N-1 of replicates ms of one (level, ms) task, (len(ms),
+    N), with the wall-cost updates the batch made returned instead of
+    applied: in a worker process they would be lost with the worker's copy
+    of the sampler."""
+    li, ms = task
     s = samplers[li]
     spent = []
     keep, s.record = s.record, lambda seconds, n: spent.append((seconds, n))
     try:
-        ys = s.batch(range(m, m + 1), 0, N)[0]
+        ys = s.batch(ms, 0, N)
     finally:
         s.record = keep
     return ys, spent
 
 
-def _replay_samplers(samplers, N: int, M: int, threads: int):
-    """Precompute samples 0..N-1 of replicates 0..M-1 of every level, one
-    (level, m) pair per task in `threads` worker processes, and wrap the
-    results in samplers that replay slices of one (M, N) array per level.
-    One replicate per task keeps each batch's chunking independent of the
-    worker count, so the output is identical to using the originals
-    directly. Wall-cost updates are folded into the originals' costs here,
-    in task order, before the replaying samplers copy them."""
-    tasks = [(li, m) for li in range(len(samplers)) for m in range(M)]
+def _replay_samplers(samplers, N: int, M: int, threads: int, chunks):
+    """Precompute samples 0..N-1 of replicates 0..M-1 of every level in
+    `threads` worker processes, and wrap the results in samplers that
+    replay slices of one (M, N) array per level.
+
+    chunks[li] is the samples a chunk of level li holds. A task is one
+    batch(ms, 0, N) call over a block of whole replicates that fills about
+    one chunk (_replicate_blocks): a cheap level is one or a few calls,
+    and a costly level, whose chunk holds N samples or fewer, is one call
+    per replicate, so all the workers share it. The blocks depend only on
+    M, N and chunks, never on the worker count, so --threads does not
+    change any call's chunking or the output. Wall-cost updates are folded
+    into the originals' costs here, in task order, before the replaying
+    samplers copy them."""
+    tasks = [(li, ms) for li, c in enumerate(chunks) for ms in _replicate_blocks(M, N, c)]
     results = _pool_map(partial(_measured_batch, samplers, N), tasks, threads)
     cache = [np.empty((M, N)) for _ in samplers]
-    for (li, m), (ys, spent) in zip(tasks, results):
-        cache[li][m] = ys
+    for (li, ms), (ys, spent) in zip(tasks, results):
+        cache[li][ms.start : ms.stop] = ys
         for seconds, n in spent:
             samplers[li].record(seconds, n)
 
@@ -469,7 +474,9 @@ def cmd_screen(cfg: RunConfig, args) -> int:
     else:
         ctxs = _build_contexts(cfg)
         out_pre = _build_samplers_for(cfg, ctxs)
-        samplers = _replay_samplers(out_pre, cfg.N_screen, cfg.M, args.threads)
+        samplers = _replay_samplers(
+            out_pre, cfg.N_screen, cfg.M, args.threads, [c.chunk_size for c in ctxs]
+        )
         _post_build_dumps(cfg, ctxs, args)
     report = screening_run(samplers, cfg.N_screen, cfg.M)
     out = _prepare_out(cfg, "screen")
@@ -486,7 +493,9 @@ def cmd_nvar(cfg: RunConfig, args) -> int:
     else:
         ctxs = _build_contexts(cfg)
         raw = _build_samplers_for(cfg, ctxs)
-        samplers = _replay_samplers(raw, max(cfg.N_list), cfg.M, args.threads)
+        samplers = _replay_samplers(
+            raw, max(cfg.N_list), cfg.M, args.threads, [c.chunk_size for c in ctxs]
+        )
         _post_build_dumps(cfg, ctxs, args)
     rows = nvar_diagnostic(samplers, cfg.N_list, cfg.M)
     out = _prepare_out(cfg, "nvar")

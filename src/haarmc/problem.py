@@ -8,7 +8,6 @@ by one shared noise event.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -52,7 +51,12 @@ __all__ = [
 ]
 
 # batch size is chosen so one chunk stays within this many scratch floats
-CHUNK_FLOAT_BUDGET = 4_000_000
+# (2.8 MB), but holds at least 24 samples (LevelContext.chunk_size). The
+# chunk, not the call, bounds a call's memory (its traced peak runs 1.4 to
+# 2.3 times a chunk's bytes): 8 replicates of screen-2d's finest level take
+# 4.7 MB, and 39 MB at 4 000 000 floats. Whole levels of the screen
+# benchmark configs sample 10 to 15 % slower than at 4 000 000 floats.
+CHUNK_FLOAT_BUDGET = 350_000
 
 
 def default_g_box(dim: int) -> Box:
@@ -126,7 +130,11 @@ class LevelContext:
             # the padded row a product gathers beyond its fixed scratch
             + max(op.gather_floats for op in operators)
         )
-        return max(1, CHUNK_FLOAT_BUDGET // per_sample)
+        # Short chunks cost more per sample (the default 2D config's mesh
+        # level 4: 0.62 ms at 19 samples, 0.54 at 24, 0.51 at 32); 32 would
+        # raise screen-2d's peak RSS, its finest level then taking whole
+        # 32-sample replicates as at 4 000 000 floats.
+        return max(24, CHUNK_FLOAT_BUDGET // per_sample)
 
 
 def build_level_contexts(
@@ -262,14 +270,11 @@ def make_level_samplers(
 
 def _make_sampler(ctx, seed, use_qmc, wall):
     timing = {"seconds": 0.0, "samples": 0}
-    # batches of one level may run on several threads at once
-    lock = threading.Lock()
 
     def record(seconds: float, samples: int) -> None:
-        with lock:
-            timing["seconds"] += seconds
-            timing["samples"] += samples
-            sampler.cost = timing["seconds"] / timing["samples"]
+        timing["seconds"] += seconds
+        timing["samples"] += samples
+        sampler.cost = timing["seconds"] / timing["samples"]
 
     def batch(ms: range, n0: int, n1: int) -> np.ndarray:
         if not (isinstance(ms, range) and len(ms) and ms.step == 1 and ms.start >= 0):

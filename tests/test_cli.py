@@ -10,6 +10,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import haarmc
@@ -17,11 +18,13 @@ from haarmc import fem
 from haarmc.cli import (
     ConfigError,
     _pool_map,
+    _replay_samplers,
     config_hash,
     config_to_dict,
     main,
     parse_config,
 )
+from haarmc.mlqmc import LevelSampler
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -162,6 +165,44 @@ def test_screen_wall_costs_survive_worker_processes(tmp_path):
     costs = [float(row[5]) for row in rows[1:]]
     assert len(costs) == 2
     assert all(0.0 < c < 0.1 for c in costs), costs  # seconds per sample
+
+
+def test_replay_draws_blocks_of_whole_replicates_that_fill_a_chunk(monkeypatch):
+    N, M = 5, 3
+    # a level whose chunk holds all its samples, one whose chunk holds two
+    # replicates, and one whose chunk holds less than one
+    chunks = [M * N, 2 * N + 1, N - 1]
+    blocks = [[range(0, 3)], [range(0, 1), range(1, 3)], [range(m, m + 1) for m in range(M)]]
+    calls, recorded = [], []
+
+    def ys(li, ms, n0, n1):
+        return 100.0 * li + np.add.outer(10.0 * np.arange(ms.start, ms.stop), np.arange(n0, n1))
+
+    def spy(li):
+        def batch(ms, n0, n1):
+            calls.append((li, ms, n0, n1))
+            # through the attribute, as the problem's samplers report
+            sampler.record(0.5 * (li + 1), len(ms) * (n1 - n0))
+            return ys(li, ms, n0, n1)
+
+        sampler = LevelSampler(li, 1.0, batch, lambda s, n: recorded.append((li, s, n)))
+        return sampler
+
+    samplers = [spy(li) for li in range(3)]
+    tasks = [(li, ms) for li, bs in enumerate(blocks) for ms in bs]
+    # serially, then in forked workers (two usable cores), whose batch calls
+    # stay in the workers while their timings reach the parent in task order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for threads, called in ((1, [(li, ms, 0, N) for li, ms in tasks]), (2, [])):
+        calls.clear()
+        recorded.clear()
+        replay = _replay_samplers(samplers, N, M, threads, chunks)
+        assert calls == called
+        assert recorded == [(li, 0.5 * (li + 1), len(ms) * N) for li, ms in tasks]
+        for li, r in enumerate(replay):
+            np.testing.assert_array_equal(r.batch(range(0, M), 0, N), ys(li, range(0, M), 0, N))
+            np.testing.assert_array_equal(r.batch(range(1, 3), 2, 4), ys(li, range(1, 3), 2, 4))
+    assert multiprocessing.active_children() == []
 
 
 def test_worker_errors_reach_the_caller(tmp_path, monkeypatch):
