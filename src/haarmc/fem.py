@@ -30,7 +30,6 @@ from .sparse import SparseOperator
 __all__ = [
     "MaternParams",
     "ConvergenceError",
-    "assemble_mass",
     "assemble_stiffness",
     "assemble_helmholtz",
     "assemble_lognormal_diffusion",
@@ -127,11 +126,6 @@ def _scatter(mesh: SimplicialMesh, local: np.ndarray) -> SparseOperator:
 def _reference_mass(d: int) -> np.ndarray:
     """Local mass matrix of the reference simplex, per unit volume."""
     return (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
-
-
-def assemble_mass(mesh: SimplicialMesh) -> SparseOperator:
-    vols = cell_volumes(mesh)
-    return _scatter(mesh, vols[:, None, None] * _reference_mass(mesh.dim)[None])
 
 
 def assemble_stiffness(

@@ -5,13 +5,24 @@ One batched pipeline builds both the two-way (mesh x Haar grid) and the
 three-way (fine x coarse x Haar grid) supermesh, in 1D and 2D:
 
 1. candidate (fine, coarse) cell pairs by uniform binning of the coarse
-   cells' bounding boxes; in the two-way build each pair is a mesh cell;
+   cells' bounding boxes, kept where the two cells' boxes overlap with
+   positive width on every axis; in the two-way build each pair is a mesh
+   cell;
 2. every candidate fine simplex clipped against its coarse simplex at once,
    by Sutherland-Hodgman steps on padded (P, V, 2) polygon arrays with
    vertex counts (the max/min of the interval ends in 1D);
-3. pairs with no area dropped, the rest repeated over their candidate Haar
-   cells and clipped against the cells' axis half-planes in one pass;
+3. pairs with no area dropped, the rest repeated over the candidate Haar
+   cells whose boxes overlap theirs in the same way, and clipped against
+   the cells' axis half-planes in one pass;
 4. fan triangulation, the sliver filter, and the flat cell arrays.
+
+The box tests in steps 1 and 3 drop only pairs that meet in a set of
+measure zero at most, which the clip and the sliver filter drop too; the
+loop oracle in the tests has no box test and gives the same cells. Each
+clip step sorts its rows into three kinds by the vertices' signed
+distances d to the line: every vertex at d <= 0 (the row is kept as it
+is), every vertex at d > 0 (the row is emptied), and the rest, the only
+rows the step clips. Emptied rows leave the batch.
 
 Each step does, per polygon, the arithmetic of a one-polygon clip: the same
 dot products over the same strides, the same intersection formula and the
@@ -106,7 +117,30 @@ def _merge_vertices(cand: np.ndarray, ok: np.ndarray):
 
 def _halfplane_step(pts: np.ndarray, n: np.ndarray, d: np.ndarray):
     """Sutherland-Hodgman step on a batch of convex CCW polygons: keep the
-    part of each where d <= 0, d holding the vertices' signed distances."""
+    part of each where d <= 0, d holding the vertices' signed distances.
+
+    Only the rows the line cuts are clipped. A row with no vertex at d > 0
+    comes back as it is: its vertices are already merged (or a simplex's),
+    so the merge would return them unchanged. A row with every vertex at
+    d > 0 comes back empty: it has no inside vertex and no crossing.
+    """
+    P, W, dim = pts.shape
+    valid = np.arange(W) < n[:, None]
+    outside = (valid & (d > 0.0)).sum(axis=1)
+    cut = np.nonzero((0 < outside) & (outside < n))[0]
+    cut_pts, cut_n = _clip_rows(pts[cut], n[cut], d[cut])
+    n = np.where(outside == 0, n, 0)
+    n[cut] = cut_n
+    out = np.zeros((P, n.max(initial=0), dim))
+    w = min(W, out.shape[1])
+    out[:, :w] = pts[:, :w]  # stale vertices past a row's n are never read
+    out[cut, : cut_pts.shape[1]] = cut_pts
+    return out, n
+
+
+def _clip_rows(pts: np.ndarray, n: np.ndarray, d: np.ndarray):
+    """The Sutherland-Hodgman step itself: the vertices at d <= 0 and the
+    edges' crossings of d = 0, in order, merged."""
     P, W, dim = pts.shape
     i = np.arange(W)
     valid = i < n[:, None]
@@ -167,11 +201,20 @@ def clip_to_boxes(pts: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarray
         a = np.where(lo > a, lo, a)  # max(a, lo), ties to a
         b = np.where(hi < b, hi, b)
         return np.stack([a, b], axis=1), np.where(b[:, 0] > a[:, 0], 2, 0)
-    for axis in range(2):
-        # lo - x rounds exactly as (-x) - (-lo), the distance to -x <= -lo
-        pts, n = _halfplane_step(pts, n, lo[:, axis, None] - pts[:, :, axis])
-        pts, n = _halfplane_step(pts, n, pts[:, :, axis] - hi[:, axis, None])
-    return pts, np.where(n >= 3, n, 0)
+    P = len(n)
+    rows = np.arange(P)
+    for a in range(2):
+        for upper in (False, True):
+            x = pts[:, :, a]
+            # lo - x rounds exactly as (-x) - (-lo), the distance to -x <= -lo
+            pts, n = _halfplane_step(pts, n, x - hi[:, a, None] if upper else lo[:, a, None] - x)
+            live = np.nonzero(n)[0]  # an empty polygon stays empty
+            rows, pts, n, lo, hi = rows[live], pts[live], n[live], lo[live], hi[live]
+    out = np.zeros((P,) + pts.shape[1:])
+    out[rows] = pts
+    k = np.zeros(P, dtype=n.dtype)
+    k[rows] = np.where(n >= 3, n, 0)
+    return out, k
 
 
 def _ragged(counts: np.ndarray):
@@ -216,6 +259,13 @@ def _expand(i0: np.ndarray, i1: np.ndarray):
     return row, idx
 
 
+def _overlaps(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Whether boxes [lo_a, hi_a] and [lo_b, hi_b] overlap with positive
+    width on every axis; shapes in boxes that do not can meet in a set of
+    measure zero at most."""
+    return (np.minimum(hi_a, hi_b) > np.maximum(lo_a, lo_b)).all(axis=1)
+
+
 def _flat(idx: np.ndarray, n: int) -> np.ndarray:
     """C-order flat index over a grid with n cells per axis."""
     flat = idx[:, 0]
@@ -246,7 +296,8 @@ class _Bins:
         self.side = (mesh.vertices.max(axis=0) - self.lo) / self.n
         self.side[self.side == 0] = 1.0
         simplices = mesh.vertices[mesh.cells]
-        cell, idx = _expand(*self.ranges(simplices.min(axis=1), simplices.max(axis=1)))
+        self.box_lo, self.box_hi = simplices.min(axis=1), simplices.max(axis=1)
+        cell, idx = _expand(*self.ranges(self.box_lo, self.box_hi))
         key = _flat(idx, self.n)
         order = np.lexsort((cell, key))
         self.cells = cell[order]
@@ -257,15 +308,23 @@ class _Bins:
         return _bin_ranges(lo, hi, self.lo, self.side, self.n)
 
     def pairs(self, lo, hi):
-        """Sorted (row, coarse cell) candidates of the boxes [lo, hi]."""
+        """Sorted (row, coarse cell) candidates of the boxes [lo, hi]: the
+        coarse cells whose boxes overlap them with positive width."""
+        pair = self._shared_bins(lo, hi)  # its raw bin entries freed on return
+        row, cell = pair // self.n_cells, pair % self.n_cells
+        live = _overlaps(lo[row], hi[row], self.box_lo[cell], self.box_hi[cell])
+        return row[live], cell[live]
+
+    def _shared_bins(self, lo, hi):
+        """Sorted row * n_cells + coarse cell of the coarse cells that share
+        a bin with the boxes [lo, hi]."""
         row, idx = _expand(*self.ranges(lo, hi))
         key = _flat(idx, self.n)
         entry, k = _ragged(self.start[key + 1] - self.start[key])
         cell = self.cells[self.start[key[entry]] + k]
         pair = np.sort(row[entry] * self.n_cells + cell)
         # drop repeats by hand: np.unique's plain path imports numpy.ma
-        pair = pair[np.r_[True, pair[1:] != pair[:-1]][: pair.size]]
-        return pair // self.n_cells, pair % self.n_cells
+        return pair[np.r_[True, pair[1:] != pair[:-1]][: pair.size]]
 
 
 # --------------------------------------------------------------- pipeline
@@ -307,7 +366,8 @@ def _split_by_haar(haar: HaarMesh, pa, pb, pts, n, ref_vol, out: list) -> None:
     n_axis = haar.cells_per_axis
     box_lo = np.asarray(haar.box.lo)
     width = np.asarray(haar.box.hi) - box_lo
-    i0, i1 = _bin_ranges(*_bounds(pts, n), box_lo, width / n_axis, n_axis)
+    plo, phi = _bounds(pts, n)
+    i0, i1 = _bin_ranges(plo, phi, box_lo, width / n_axis, n_axis)
     per_piece = (pts.shape[1] + 4) * _VERTEX_FLOATS  # four clips add <= 4 vertices
     cost = np.maximum(i1 - i0 + 1, 0).prod(axis=1) * per_piece
     for p0, p1 in _blocks(cost, CHUNK_FLOAT_BUDGET):
@@ -315,6 +375,8 @@ def _split_by_haar(haar: HaarMesh, pa, pb, pts, n, ref_vol, out: list) -> None:
         row += p0
         lo = box_lo + idx * width / n_axis
         hi = box_lo + (idx + 1) * width / n_axis
+        live = _overlaps(plo[row], phi[row], lo, hi)
+        row, idx, lo, hi = row[live], idx[live], lo[live], hi[live]
         piece, k = clip_to_boxes(pts[row], n[row], lo, hi)
         if pts.shape[2] == 1:
             owner = np.nonzero(k == 2)[0]

@@ -18,7 +18,6 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 from scipy.special import erfc
 
-from haarmc.fem import assemble_mass
 from haarmc.lowdisc import _BITS, _SCALE, PURPOSE_NOISE, SobolGenerator
 from haarmc.mesh import HaarMesh, SimplicialMesh, cell_volumes, vertex_injection_map
 from haarmc.sparse import SparseOperator
@@ -34,6 +33,17 @@ def mass_matrix(mesh):
     for cell, vol in zip(mesh.cells, cell_volumes(mesh)):
         M[np.ix_(cell, cell)] += vol * base
     return M
+
+
+def assemble_mass(mesh):
+    """P1 mass matrix as a SparseOperator: the closed-form local matrix of
+    every cell, summed as COO triplets."""
+    d1 = mesh.dim + 1
+    base = (np.ones((d1, d1)) + np.eye(d1)) / (d1 * (d1 + 1))
+    local = cell_volumes(mesh)[:, None, None] * base[None]
+    rows = np.repeat(mesh.cells, d1, axis=1)
+    cols = np.tile(mesh.cells, (1, d1))
+    return SparseOperator(rows, cols, local, (mesh.n_vertices, mesh.n_vertices))
 
 
 @dataclass(frozen=True)

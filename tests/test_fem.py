@@ -15,7 +15,6 @@ from haarmc.fem import (
     assemble_helmholtz,
     assemble_load,
     assemble_lognormal_diffusion,
-    assemble_mass,
     assemble_stiffness,
     embed_interior,
     factorized_spd,
@@ -26,7 +25,7 @@ from haarmc.fem import (
 from haarmc.mesh import Box, SimplicialMesh, build_hierarchy, build_uniform_mesh
 from haarmc.problem import default_d_box, default_g_box
 import oracles
-from oracles import functional_l2sq, transfer_field
+from oracles import assemble_mass, functional_l2sq, transfer_field
 
 G2 = Box((-0.5, -0.5), (0.5, 0.5))
 UNIT1 = Box((0.0,), (1.0,))

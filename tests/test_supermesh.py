@@ -15,6 +15,7 @@ from haarmc.mesh import (
     build_uniform_mesh,
     cell_volumes,
 )
+from haarmc import supermesh
 from haarmc.problem import default_d_box, default_g_box
 from haarmc.supermesh import (
     build_supermesh,
@@ -106,6 +107,37 @@ def test_clip_measure_zero_is_empty():
 def test_clip_output_is_ccw():
     poly = clip_simplex_to_box_cell(REF_TRI, (0.1, 0.1), (0.6, 0.8))
     assert shoelace(poly) > 0
+
+
+@pytest.mark.parametrize("normal,offset", [((1.0, 0.0), 0.5), ((-1.0, 0.0), -0.5)])
+def test_halfplane_step_matches_one_polygon_clip(normal, offset):
+    """One batch of rows all inside, all outside, cut, and touching the line
+    (d == 0 at a vertex): every output row equals the one-polygon clip."""
+    polys = [
+        [[0.0, 0.0], [0.3, 0.0], [0.0, 0.3]],
+        [[0.6, 0.0], [1.0, 0.0], [1.0, 0.4], [0.6, 0.4]],
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+        [[0.1, 0.2], [0.9, 0.1], [1.2, 0.6], [0.7, 1.1], [0.2, 0.9]],
+        # touching, with the other vertices on either side
+        [[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]],
+        [[0.5, 0.0], [1.0, 1.0], [0.0, 1.0]],
+        # touching, with the other vertices on one side
+        [[0.0, 0.0], [0.5, 0.5], [0.0, 1.0]],
+        [[0.5, 0.5], [1.0, 0.0], [1.0, 1.0]],
+        [],
+    ]
+    normal = np.asarray(normal)
+    n = np.array([len(poly) for poly in polys])
+    pts = np.zeros((len(polys), n.max(), 2))
+    d = np.zeros((len(polys), n.max()))
+    for r, poly in enumerate(polys):
+        poly = np.asarray(poly).reshape(-1, 2)
+        pts[r, : len(poly)] = poly
+        d[r, : len(poly)] = poly @ normal - offset
+    out, k = supermesh._halfplane_step(pts, n, d)
+    for r, poly in enumerate(polys):
+        ref = oracles._clip_halfplane(np.asarray(poly).reshape(-1, 2), normal, offset)
+        assert np.array_equal(out[r, : k[r]], ref.reshape(-1, 2)), r
 
 
 # ---------------------------------------------------------- triangulation
@@ -371,7 +403,9 @@ def test_batched_matches_loop_on_default_hierarchy(dim, levels):
 
 # tiny jitters put fine vertices within the merge tolerance of coarse edges
 # and Haar lines (near-degenerate cuts); large ones give general triangles
-@pytest.mark.parametrize("scale", [1e-14, 1e-12, 1e-10, 0.05, 0.2])
+# scale 0 keeps the uniform meshes: shared axis-aligned lines with crossing
+# diagonals, so many cells and Haar cells touch along an edge or at a point
+@pytest.mark.parametrize("scale", [0.0, 1e-14, 1e-12, 1e-10, 0.05, 0.2])
 def test_batched_matches_loop_on_jittered_2d(scale):
     rng = np.random.default_rng(20240611)
     fine = jittered_mesh(8, "right", scale, rng)
@@ -400,6 +434,26 @@ def test_batched_matches_loop_on_nonuniform_1d():
             assert_matches_oracle(
                 build_supermesh(fine, haar), oracles.build_supermesh(fine, haar)
             )
+
+
+def test_three_way_clips_few_pairs_per_cell(monkeypatch):
+    """Only (fine, coarse) pairs whose bounding boxes overlap reach the clip,
+    so the clipping work is linear in the output: on the default 2D
+    hierarchy at most 1.5 pairs per supermesh cell at every position."""
+    hier = build_hierarchy(default_g_box(2), default_d_box(2), 2, [1, 2, 3, 4, 5], [3] * 5)
+    clipped = []
+    intersect = supermesh._intersect
+
+    def counting(pts, simplices):
+        clipped.append(len(pts))
+        return intersect(pts, simplices)
+
+    monkeypatch.setattr(supermesh, "_intersect", counting)
+    for pos in range(1, 5):
+        (_, fine, haar), coarse = hier.levels[pos], hier.levels[pos - 1][1]
+        clipped.clear()
+        sm = build_three_way_supermesh(fine, coarse, haar)
+        assert sum(clipped) <= 1.5 * len(sm), pos
 
 
 @pytest.mark.parametrize("pos,n_cells", [(3, 3072), (4, 12288)])
