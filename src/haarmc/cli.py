@@ -31,7 +31,7 @@ from .mlqmc import (
     mlmc_run,
     mlqmc_run,
     nvar_diagnostic,
-    qmc_estimate,
+    qmc_run,
     screening_run,
     write_estimate_csv,
     write_nvar_csv,
@@ -46,8 +46,6 @@ from .problem import (
     sample_noise,
 )
 from .supermesh import write_supermesh_csv
-
-MAX_QMC_DOUBLINGS = 24
 
 
 class ConfigError(ValueError):
@@ -424,61 +422,60 @@ def _write_noise_csv(path, values) -> None:
             f.write(f"{i},{float(v)!r}\n")
 
 
-def _dump_static(cfg: RunConfig, ctxs, out: Path, args) -> None:
+def _dump(cfg: RunConfig, ctxs, args, command: str, n: int, fields: bool) -> None:
+    """Write the files of sample n that the --dump-* flags ask for at every
+    level, and its field CSVs when `fields` is set, under a `command`
+    manifest."""
+    out = _prepare_out(cfg, command)
     for ctx in ctxs:
+        pos = ctx.position
         if args.dump_mesh:
-            write_mesh(ctx.spaces[0].g_mesh, out / f"mesh_g_l{ctx.position}.txt")
-            write_mesh(ctx.spaces[0].d_mesh, out / f"mesh_d_l{ctx.position}.txt")
+            write_mesh(ctx.spaces[0].g_mesh, out / f"mesh_g_l{pos}.txt")
+            write_mesh(ctx.spaces[0].d_mesh, out / f"mesh_d_l{pos}.txt")
         if args.dump_supermesh:
-            write_supermesh_csv(ctx.supermesh, out / f"supermesh_l{ctx.position}.csv")
-
-
-def _dump_noise(cfg: RunConfig, ctxs, out: Path, n: int) -> None:
-    for ctx in ctxs:
-        b_fine, b_coarse = sample_noise(ctx, cfg.seed, 0, n)
-        _write_noise_csv(out / f"noise_l{ctx.position}.csv", b_fine)
-        if b_coarse is not None:
-            _write_noise_csv(out / f"noise_l{ctx.position}_coarse.csv", b_coarse)
-
-
-def _dump_fields(cfg: RunConfig, ctxs, out: Path, n: int, threads: int) -> None:
-    """Field CSVs of sample n at every level, one level per pool task."""
-    pairs = _pool_map(
-        lambda ctx: sample_fields(ctx, cfg.seed, 0, n), ctxs, threads
-    )
-    for ctx, values in zip(ctxs, pairs):
-        head = f"# seed={cfg.seed} level={ctx.position} sample={n}"
-        # ctx.spaces ends the zip before an uncoupled level's None
-        for suffix, u, space in zip(("", "_coarse"), values, ctx.spaces):
-            path = out / f"field_l{ctx.position}{suffix}.csv"
-            _write_field_csv(path, space.g_mesh, u, head)
+            write_supermesh_csv(ctx.supermesh, out / f"supermesh_l{pos}.csv")
+        if args.dump_noise:
+            b_fine, b_coarse = sample_noise(ctx, cfg.seed, 0, n)
+            _write_noise_csv(out / f"noise_l{pos}.csv", b_fine)
+            if b_coarse is not None:
+                _write_noise_csv(out / f"noise_l{pos}_coarse.csv", b_coarse)
+        if fields:
+            head = f"# seed={cfg.seed} level={pos} sample={n}"
+            # ctx.spaces ends the zip before an uncoupled level's None
+            values = sample_fields(ctx, cfg.seed, 0, n)
+            for suffix, u, space in zip(("", "_coarse"), values, ctx.spaces):
+                _write_field_csv(out / f"field_l{pos}{suffix}.csv", space.g_mesh, u, head)
 
 
 # --------------------------------------------------------------------------
 # commands
 
 
-def cmd_field(cfg: RunConfig, args) -> int:
+def _samplers(cfg: RunConfig, args, N: Optional[int] = None) -> List[LevelSampler]:
+    """The level samplers a command runs on cfg, after writing the files
+    the --dump-* flags ask for (sample 0). With N, samples 0..N-1 of
+    replicates 0..M-1 are drawn up front in --threads workers and
+    replayed."""
+    if cfg.synthetic:
+        return _synthetic_samplers(len(cfg.mesh_levels))
     ctxs = _build_contexts(cfg)
-    out = _prepare_out(cfg, "field")
-    _dump_static(cfg, ctxs, out, args)
-    _dump_fields(cfg, ctxs, out, args.sample, args.threads)
-    if args.dump_noise:
-        _dump_noise(cfg, ctxs, out, args.sample)
+    if args.dump_mesh or args.dump_supermesh or args.dump_noise or args.dump_field:
+        _dump(cfg, ctxs, args, "dumps", 0, args.dump_field)
+    samplers = make_level_samplers(
+        ctxs, cfg.seed, use_qmc=cfg.estimator != "mlmc", cost_model=cfg.cost_model
+    )
+    if N is None:
+        return samplers
+    return _replay_samplers(samplers, N, cfg.M, args.threads, [c.chunk_size for c in ctxs])
+
+
+def cmd_field(cfg: RunConfig, args) -> int:
+    _dump(cfg, _build_contexts(cfg), args, "field", args.sample, fields=True)
     return 0
 
 
 def cmd_screen(cfg: RunConfig, args) -> int:
-    if cfg.synthetic:
-        samplers = _synthetic_samplers(len(cfg.mesh_levels))
-    else:
-        ctxs = _build_contexts(cfg)
-        out_pre = _build_samplers_for(cfg, ctxs)
-        samplers = _replay_samplers(
-            out_pre, cfg.N_screen, cfg.M, args.threads, [c.chunk_size for c in ctxs]
-        )
-        _post_build_dumps(cfg, ctxs, args)
-    report = screening_run(samplers, cfg.N_screen, cfg.M)
+    report = screening_run(_samplers(cfg, args, cfg.N_screen), cfg.N_screen, cfg.M)
     out = _prepare_out(cfg, "screen")
     write_screening_csv(out / "screen.csv", report)
     print(
@@ -488,16 +485,7 @@ def cmd_screen(cfg: RunConfig, args) -> int:
 
 
 def cmd_nvar(cfg: RunConfig, args) -> int:
-    if cfg.synthetic:
-        samplers = _synthetic_samplers(len(cfg.mesh_levels))
-    else:
-        ctxs = _build_contexts(cfg)
-        raw = _build_samplers_for(cfg, ctxs)
-        samplers = _replay_samplers(
-            raw, max(cfg.N_list), cfg.M, args.threads, [c.chunk_size for c in ctxs]
-        )
-        _post_build_dumps(cfg, ctxs, args)
-    rows = nvar_diagnostic(samplers, cfg.N_list, cfg.M)
+    rows = nvar_diagnostic(_samplers(cfg, args, max(cfg.N_list)), cfg.N_list, cfg.M)
     out = _prepare_out(cfg, "nvar")
     write_nvar_csv(out / "nvar.csv", rows)
     return 0
@@ -506,83 +494,40 @@ def cmd_nvar(cfg: RunConfig, args) -> int:
 def cmd_estimate(cfg: RunConfig, args) -> int:
     if cfg.synthetic:
         raise ConfigError("synthetic", "estimate needs the PDE problem")
-    rows = []
-    any_failed = False
     if cfg.estimator == "qmc":
-        finest = _single_level_config(cfg)
-        ctxs = _build_contexts(finest)
-        _post_build_dumps(cfg, ctxs, args)
-        sampler = make_level_samplers(
-            ctxs, cfg.seed, use_qmc=True, cost_model=cfg.cost_model
-        )[0]
-        for eps in cfg.eps:
-            budget = (1.0 - cfg.theta) * eps**2
-            N = 1
-            mean, vom, _ = qmc_estimate(sampler, N, cfg.M)
-            while vom > budget and N < 2**MAX_QMC_DOUBLINGS:
-                N *= 2
-                mean, vom, _ = qmc_estimate(sampler, N, cfg.M)
-            row = (float(eps), N * cfg.M * sampler.cost, mean)
-            if vom > budget:
-                row = row + ("failed",)
-                any_failed = True
-            rows.append(row)
-            _log_eps(rows[-1])
-    else:
-        ctxs = _build_contexts(cfg)
-        _post_build_dumps(cfg, ctxs, args)
-        use_qmc = cfg.estimator == "mlqmc"
-        samplers = make_level_samplers(
-            ctxs, cfg.seed, use_qmc=use_qmc, cost_model=cfg.cost_model
+        finest = replace(
+            cfg, mesh_levels=cfg.mesh_levels[-1:], haar_levels=cfg.haar_levels[-1:]
         )
-        for eps in cfg.eps:
-            try:
-                if use_qmc:
-                    est, state = mlqmc_run(
-                        samplers, eps, cfg.theta, cfg.L_min, cfg.L_max, cfg.M
-                    )
-                else:
-                    est, state = mlmc_run(
-                        samplers, eps, cfg.theta, cfg.L_min, cfg.L_max, cfg.N_init
-                    )
-                rows.append((float(eps), state.total_cost(), est))
-            except ConvergenceFailure as exc:
-                state = exc.state
-                rows.append(
-                    (float(eps), state.total_cost(), state.estimate(), "failed")
-                )
-                any_failed = True
-            _log_eps(rows[-1])
+        run = partial(qmc_run, _samplers(finest, args)[0], M=cfg.M)
+    elif cfg.estimator == "mlqmc":
+        run = partial(
+            mlqmc_run, _samplers(cfg, args), L_min=cfg.L_min, L_max=cfg.L_max, M=cfg.M
+        )
+    else:
+        run = partial(
+            mlmc_run,
+            _samplers(cfg, args),
+            L_min=cfg.L_min,
+            L_max=cfg.L_max,
+            N_init=cfg.N_init,
+        )
+    rows = []
+    for eps in cfg.eps:
+        try:
+            est, state = run(eps, cfg.theta)
+            rows.append((float(eps), state.total_cost(), est))
+        except ConvergenceFailure as exc:
+            state = exc.state
+            rows.append((float(eps), state.total_cost(), state.estimate(), "failed"))
+        _log_eps(rows[-1])
     out = _prepare_out(cfg, "estimate")
     write_estimate_csv(out / "estimate.csv", rows)
-    return 3 if any_failed else 0
+    return 3 if any(len(row) > 3 for row in rows) else 0
 
 
 def _log_eps(row) -> None:
     status = row[3] if len(row) > 3 else "ok"
     print(f"eps={row[0]:.3e} cost={row[1]:.6g} estimate={row[2]:.6e} [{status}]")
-
-
-def _single_level_config(cfg: RunConfig) -> RunConfig:
-    one = replace(cfg)
-    one.mesh_levels = [cfg.mesh_levels[-1]]
-    one.haar_levels = [cfg.haar_levels[-1]]
-    return one
-
-
-def _build_samplers_for(cfg: RunConfig, ctxs):
-    use_qmc = cfg.estimator in ("qmc", "mlqmc")
-    return make_level_samplers(ctxs, cfg.seed, use_qmc=use_qmc, cost_model=cfg.cost_model)
-
-
-def _post_build_dumps(cfg: RunConfig, ctxs, args) -> None:
-    if args.dump_mesh or args.dump_supermesh or args.dump_noise or args.dump_field:
-        out = _prepare_out(cfg, "dumps")
-        _dump_static(cfg, ctxs, out, args)
-        if args.dump_noise:
-            _dump_noise(cfg, ctxs, out, 0)
-        if args.dump_field:
-            _dump_fields(cfg, ctxs, out, 0, args.threads)
 
 
 def _prepare_out(cfg: RunConfig, command: str) -> Path:

@@ -19,6 +19,7 @@ __all__ = [
     "MLQMCState",
     "DiagnosticsReport",
     "qmc_estimate",
+    "qmc_run",
     "mlmc_optimal_allocation",
     "mlqmc_run",
     "mlmc_run",
@@ -34,6 +35,7 @@ __all__ = [
 
 DEFAULT_M = 32
 MIN_FIT_LEVEL = 2
+MAX_QMC_DOUBLINGS = 24
 
 
 class AllocationError(ArithmeticError):
@@ -42,7 +44,9 @@ class AllocationError(ArithmeticError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """The adaptive loop hit the maximum level with the bias still large."""
+    """An adaptive driver stopped short of its tolerance: the maximum level
+    with the bias still large, or the largest N with the variance still
+    over budget."""
 
     def __init__(self, message, state=None):
         super().__init__(message)
@@ -80,6 +84,32 @@ def qmc_estimate(sampler: LevelSampler, N: int, M: int):
         raise ValueError("need N >= 1 and M >= 2")
     means = sampler.batch(range(M), 0, N).mean(axis=1)
     return float(means.mean()), float(means.var(ddof=1) / M), means
+
+
+def qmc_run(sampler: LevelSampler, eps: float, theta: float = 0.5, M: int = DEFAULT_M):
+    """Single-level randomized QMC to tolerance eps.
+
+    Doubles N from 1 until the variance of the mean over M shifts meets the
+    budget (1-theta)*eps^2. Returns (estimate, state) with the same state
+    type as mlqmc_run, one level holding N, that variance, the per-sample
+    cost and the mean; raises ConvergenceFailure (with state attached) if
+    N = 2**MAX_QMC_DOUBLINGS still misses the budget.
+    """
+    if eps <= 0 or not (0.0 < theta < 1.0):
+        raise ValueError("need eps > 0 and 0 < theta < 1")
+    budget = (1.0 - theta) * eps**2
+    N = 1
+    mean, vom, _ = qmc_estimate(sampler, N, M)
+    while vom > budget and N < 2**MAX_QMC_DOUBLINGS:
+        N *= 2
+        mean, vom, _ = qmc_estimate(sampler, N, M)
+    state = MLQMCState(
+        eps, theta, 1, 1, M, N=[N], V=[vom], cost=[sampler.cost], means=[mean]
+    )
+    if vom > budget:
+        raise ConvergenceFailure(f"variance budget not met at N = {N}", state)
+    state.converged = True
+    return mean, state
 
 
 def mlmc_optimal_allocation(V: Sequence[float], C: Sequence[float], eps: float, theta: float):

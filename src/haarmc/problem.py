@@ -147,11 +147,8 @@ def build_level_contexts(
 ) -> List[LevelContext]:
     """One context per hierarchy position; mesh_levels are the dyadic
     refinement indices (mesh level k: 2^k cells per axis on G) and
-    haar_levels the per-position wavelet truncation levels."""
-    if len(mesh_levels) != len(haar_levels):
-        raise ValueError("mesh_levels and haar_levels must have equal length")
-    if any(b > a for a, b in zip(haar_levels[1:], haar_levels)):
-        raise ValueError("haar_levels must be non-decreasing")
+    haar_levels the per-position wavelet truncation levels. build_hierarchy
+    raises ValueError on lists of unequal length or decreasing Haar levels."""
     g_box = g_box or default_g_box(dim)
     d_box = d_box or default_d_box(dim)
     hier = build_hierarchy(g_box, d_box, dim, mesh_levels, haar_levels)

@@ -116,12 +116,6 @@ class SparseOperator:
         block of _BLOCK_FLOATS: one padded row of the widest group."""
         return max((cols.shape[1] for _, cols, _ in self._groups), default=0)
 
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        out[rows, self.indices] = self.data
-        return out
-
     def __matmul__(self, x) -> np.ndarray:
         return self.apply(x)
 

@@ -337,6 +337,18 @@ def test_field_dump_coupled_pair_shares_header(tmp_path):
         assert (out / name).exists()
 
 
+def test_field_draws_in_this_process(tmp_path, monkeypatch):
+    # one sample per level is too little work to pay for forking workers
+    def no_pool(*args):
+        raise AssertionError("field started a worker pool")
+
+    monkeypatch.setattr(haarmc.cli, "_pool_map", no_pool)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "f"
+    assert main(["field", "--config", str(cfg), "--out", str(out), "--threads", "2"]) == 0
+    assert (out / "field_l1_coarse.csv").exists()
+
+
 def test_estimate_mlqmc_and_qmc(tmp_path):
     out = tmp_path / "est"
     cfg = write_config(tmp_path, eps=[0.2], M=4)

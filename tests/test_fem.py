@@ -32,13 +32,17 @@ UNIT1 = Box((0.0,), (1.0,))
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
 
 
+def _dense(A):
+    return oracles.scipy_matrix(A).toarray()
+
+
 def test_helmholtz_single_interior_dof():
     # two elements of size 1/2 on [0,1], kappa = 1: mass contributes
     # 2 * (2h/6) = 1/3, stiffness contributes 2/h = 4, so A = [[13/3]]
     mesh = build_uniform_mesh(UNIT1, 1, 2)
     A = assemble_helmholtz(mesh, 1.0)
     assert A.shape == (1, 1)
-    assert A.toarray()[0, 0] == pytest.approx(13.0 / 3.0, rel=1e-14)
+    assert _dense(A)[0, 0] == pytest.approx(13.0 / 3.0, rel=1e-14)
 
 
 def test_helmholtz_rejects_bad_kappa():
@@ -51,7 +55,7 @@ def test_helmholtz_rejects_bad_kappa():
 def test_mass_matrix_against_oracle(dim, n):
     box = Box((-1.0, -1.0), (1.0, 1.0)) if dim == 2 else Box((-1.0,), (1.0,))
     mesh = build_uniform_mesh(box, dim, n)
-    M = assemble_mass(mesh).toarray()
+    M = _dense(assemble_mass(mesh))
     np.testing.assert_allclose(M, oracles.mass_matrix(mesh), atol=1e-14)
     assert M.sum() == pytest.approx(box.volume, rel=1e-12)
 
@@ -59,7 +63,7 @@ def test_mass_matrix_against_oracle(dim, n):
 def test_stiffness_row_sums_vanish():
     mesh = build_uniform_mesh(UNIT2, 2, 3)
     K = assemble_stiffness(mesh)
-    np.testing.assert_allclose(K.toarray().sum(axis=1), 0.0, atol=1e-13)
+    np.testing.assert_allclose(_dense(K).sum(axis=1), 0.0, atol=1e-13)
 
 
 def test_load_vector_is_basis_integrals():
@@ -73,10 +77,10 @@ def test_lognormal_diffusion_scaling():
     mesh = build_uniform_mesh(G2, 2, 4)
     K0 = assemble_lognormal_diffusion(mesh, np.zeros(mesh.n_vertices))
     plain = restrict_interior(assemble_stiffness(mesh), mesh)
-    np.testing.assert_allclose(K0.toarray(), plain.toarray(), atol=1e-14)
+    np.testing.assert_allclose(_dense(K0), _dense(plain), atol=1e-14)
     Kc = assemble_lognormal_diffusion(mesh, np.full(mesh.n_vertices, 0.7))
-    np.testing.assert_allclose(Kc.toarray(), math.exp(0.7) * plain.toarray(), rtol=1e-13)
-    assert np.linalg.eigvalsh(Kc.toarray()).min() > 0
+    np.testing.assert_allclose(_dense(Kc), math.exp(0.7) * _dense(plain), rtol=1e-13)
+    assert np.linalg.eigvalsh(_dense(Kc)).min() > 0
 
 
 def test_lognormal_diffusion_rejects_nonfinite():
@@ -255,7 +259,7 @@ def test_matern_field_batch_matches_single():
     rng = np.random.default_rng(12)
     B = rng.standard_normal((3, mesh.n_vertices))
     batch = matern_field_from_noise(mesh, pars, B, solve)
-    dense = np.linalg.solve(A.toarray(), pars.eta * B[:, mesh.interior_vertices].T).T
+    dense = np.linalg.solve(_dense(A), pars.eta * B[:, mesh.interior_vertices].T).T
     np.testing.assert_allclose(batch[:, mesh.interior_vertices], dense, atol=1e-13)
     for i in range(3):
         np.testing.assert_array_equal(
@@ -314,7 +318,7 @@ def test_diffusion_solver_matches_per_sample_path(name, batch):
         K = assemble_lognormal_diffusion(mesh, u[b] + shift)
         data = solver.matrix_data(u[b], shift)
         K_batched = sp.csr_matrix((data, solver.indices, solver.indptr), shape=(n, n)).toarray()
-        np.testing.assert_allclose(K_batched, K.toarray(), rtol=1e-13, atol=1e-13 * np.abs(K.data).max())
+        np.testing.assert_allclose(K_batched, _dense(K), rtol=1e-13, atol=1e-13 * np.abs(K.data).max())
         ref = oracles.splu_solve(K, load)
         assert np.max(np.abs(p[b] - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert solver.norm_sq(p[b : b + 1])[0] == pytest.approx(ref @ (M @ ref), rel=1e-12)
@@ -462,7 +466,7 @@ def test_band_lapack_falls_back_to_scipy(monkeypatch, fresh_band_lapack):
     B = np.random.default_rng(3).standard_normal((A.shape[0], 5))
     X = factorized_spd(A)(B)
     assert calls == ["dpbtrf", "dpbtrs"]
-    np.testing.assert_allclose(X, np.linalg.solve(A.toarray(), B), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(X, np.linalg.solve(_dense(A), B), rtol=1e-12, atol=1e-12)
     with pytest.raises(np.linalg.LinAlgError):
         factorized_spd(oracles.sparse_operator(np.array([[1.0, 2.0], [2.0, 1.0]])))
 

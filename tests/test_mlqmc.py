@@ -17,6 +17,7 @@ from haarmc.lowdisc import (
     shifted_point,
     sobol_points,
 )
+from haarmc import mlqmc
 from haarmc.mlqmc import (
     AllocationError,
     ConvergenceFailure,
@@ -27,6 +28,7 @@ from haarmc.mlqmc import (
     mlqmc_run,
     nvar_diagnostic,
     qmc_estimate,
+    qmc_run,
     screening_run,
     write_estimate_csv,
     write_nvar_csv,
@@ -88,6 +90,49 @@ def test_qmc_estimate_uniform_mean():
     assert vom > 0
     mean2, _, _ = qmc_estimate(identity_qmc_sampler(), 512, 4)
     assert mean == mean2
+
+
+def alternating_sampler(value, cost):
+    """Replicate m's mean over samples 0..N-1 is value +- 1/N (sign (-1)^m),
+    so with M even the variance of the mean is 1/(N^2 (M - 1))."""
+
+    def batch(ms, n0, n1):
+        out = np.full((len(ms), n1 - n0), value)
+        if n0 == 0:
+            out[:, 0] += [(-1.0) ** m for m in ms]
+        return out
+
+    return LevelSampler(0, cost, batch)
+
+
+def test_qmc_run_doubles_to_the_first_n_within_budget():
+    s = alternating_sampler(0.75, 2.5)
+    # budget 0.5 * 0.1^2 = 5e-3: N = 8 gives 1/192 > 5e-3, N = 16 gives 1/768
+    est, state = qmc_run(s, 0.1, 0.5, M=4)
+    mean, vom, _ = qmc_estimate(s, 16, 4)
+    assert state.converged
+    assert (state.N, state.V, state.cost, state.means) == ([16], [vom], [2.5], [mean])
+    assert vom == pytest.approx(1.0 / 768.0, rel=1e-12)
+    assert est == mean == state.estimate()
+    assert state.total_cost() == 16 * 4 * 2.5
+
+
+def test_qmc_run_reports_failure_state(monkeypatch):
+    monkeypatch.setattr(mlqmc, "MAX_QMC_DOUBLINGS", 2)
+    s = alternating_sampler(0.75, 2.5)
+    with pytest.raises(ConvergenceFailure) as exc:
+        qmc_run(s, 0.1, 0.5, M=4)
+    state = exc.value.state
+    mean, vom, _ = qmc_estimate(s, 4, 4)
+    assert not state.converged
+    assert (state.N, state.V, state.cost, state.means) == ([4], [vom], [2.5], [mean])
+    assert state.total_cost() == 4 * 4 * 2.5
+
+
+@pytest.mark.parametrize("eps,theta", [(0.0, 0.5), (-0.1, 0.5), (0.1, 0.0), (0.1, 1.0)])
+def test_qmc_run_validation(eps, theta):
+    with pytest.raises(ValueError):
+        qmc_run(const_sampler(0, 1.0), eps, theta, M=4)
 
 
 def test_allocation_pin():

@@ -118,7 +118,7 @@ def test_transform_tables_match_per_cell_lookup(dim, level):
     ref = np.zeros((ref_idx.shape[0], lay.total_dim))
     np.put_along_axis(ref, ref_idx, ref_coef, axis=1)
     assert lay.H.dtype == ref_coef.dtype and lay.H.nnz == ref_idx.size
-    np.testing.assert_array_equal(lay.H.toarray(), ref)
+    np.testing.assert_array_equal(oracles.scipy_matrix(lay.H).toarray(), ref)
 
 
 @pytest.mark.parametrize("dim,level", [(1, 3), (2, 1), (2, 3)])
@@ -168,7 +168,7 @@ def test_values_box_jacobian():
 @pytest.mark.parametrize("level", [-1, 0, 1, 2, 3])
 def test_transform_orthogonality(dim, level):
     lay = build_layout(dim, level)
-    T = lay.H.toarray()
+    T = oracles.scipy_matrix(lay.H).toarray()
     expect = 2.0 ** (dim * (level + 1))
     np.testing.assert_allclose(
         T @ T.T, expect * np.eye(T.shape[0]), atol=1e-10 * expect
@@ -234,7 +234,7 @@ def test_assemble_b_L_zero_and_constant():
 
 def test_I_mat_columns_sum_to_basis_integrals():
     mesh, haar, sm, tables, lay = two_way_case(2, 4, 1, UNIT2)
-    I = tables.spaces[0].I_mat.toarray()
+    I = oracles.scipy_matrix(tables.spaces[0].I_mat).toarray()
     np.testing.assert_allclose(
         I.sum(axis=1), oracles.mass_matrix(mesh).sum(axis=1), rtol=1e-12, atol=1e-15
     )
@@ -249,7 +249,7 @@ def test_truncated_operator_covariance():
     mesh, haar, sm, tables, lay = two_way_case(1, 20, 2, BIG1)
     td = lay.total_dim
     B = apply_noise_maps(tables, lay, np.eye(td), np.zeros((td, tables.n_cells, 2)))[0].T
-    I = tables.spaces[0].I_mat.toarray()
+    I = oracles.scipy_matrix(tables.spaces[0].I_mat).toarray()
     C_L = (I / haar.cell_volume) @ I.T
     np.testing.assert_allclose(B @ B.T, C_L, atol=1e-12)
 
@@ -265,7 +265,7 @@ def test_sample_b_M_zero_draws():
 def test_sample_b_M_exact_covariance():
     # the local factors alone reproduce the mass matrix
     mesh, haar, sm, tables, lay = two_way_case(2, 3, 0, UNIT2)
-    G = tables.spaces[0].G_map.toarray()
+    G = oracles.scipy_matrix(tables.spaces[0].G_map).toarray()
     np.testing.assert_allclose(G @ G.T, oracles.mass_matrix(mesh), atol=1e-12)
 
 
@@ -433,7 +433,7 @@ def test_coupling_check_passes_on_default_hierarchies(dim, mesh_levels, haar_lev
     ctxs = build_level_contexts(dim, mesh_levels, [haar_level] * len(mesh_levels), pars)
     for ctx in ctxs:
         t = ctx.tables
-        shared = t.S.toarray().sum(axis=0) * t.haar.cell_volume
+        shared = oracles.scipy_matrix(t.S).toarray().sum(axis=0) * t.haar.cell_volume
         for st in t.spaces:
-            local = st.G_map.toarray().sum(axis=0)
+            local = oracles.scipy_matrix(st.G_map).toarray().sum(axis=0)
             assert np.max(np.abs(local - shared)) <= whitenoise.COUPLING_TOL
