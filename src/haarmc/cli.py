@@ -3,8 +3,7 @@
 Four commands over one JSON config: `field` (dump single samples), `screen`
 (level-by-level bias/variance/cost tables), `nvar` (N * variance tables),
 and `estimate` (run an estimator over a tolerance sweep). All outputs are
-CSV plus a manifest; reruns with the same manifest are byte-identical under
-the deterministic cost model.
+CSV plus a manifest; reruns with the same manifest are byte-identical.
 """
 
 from __future__ import annotations
@@ -221,7 +220,7 @@ def validate_config(cfg: RunConfig) -> None:
     _require(0.0 < cfg.theta < 1.0, "theta", "must lie in (0, 1)")
     _require(cfg.M >= 2, "M", "must be an integer >= 2")
     _require(cfg.seed >= 0, "seed", "must be >= 0")
-    _require(cfg.cost_model in ("dofs", "wall"), "cost_model", "'dofs' or 'wall'")
+    _require(cfg.cost_model == "dofs", "cost_model", "must be 'dofs'")
     _require(cfg.L_min >= 1, "L_min", "must be >= 1")
     if cfg.L_max is not None:
         _require(
@@ -353,22 +352,6 @@ def _replicate_blocks(M: int, N: int, chunk: int):
     return [range(j * M // k, (j + 1) * M // k) for j in range(k)]
 
 
-def _measured_batch(samplers, N: int, task):
-    """Samples 0..N-1 of replicates ms of one (level, ms) task, (len(ms),
-    N), with the wall-cost updates the batch made returned instead of
-    applied: in a worker process they would be lost with the worker's copy
-    of the sampler."""
-    li, ms = task
-    s = samplers[li]
-    spent = []
-    keep, s.record = s.record, lambda seconds, n: spent.append((seconds, n))
-    try:
-        ys = s.batch(ms, 0, N)
-    finally:
-        s.record = keep
-    return ys, spent
-
-
 def _replay_samplers(samplers, N: int, M: int, threads: int, chunks):
     """Precompute samples 0..N-1 of replicates 0..M-1 of every level in
     `threads` worker processes, and wrap the results in samplers that
@@ -380,16 +363,12 @@ def _replay_samplers(samplers, N: int, M: int, threads: int, chunks):
     and a costly level, whose chunk holds N samples or fewer, is one call
     per replicate, so all the workers share it. The blocks depend only on
     M, N and chunks, never on the worker count, so --threads does not
-    change any call's chunking or the output. Wall-cost updates are folded
-    into the originals' costs here, in task order, before the replaying
-    samplers copy them."""
+    change any call's chunking or the output."""
     tasks = [(li, ms) for li, c in enumerate(chunks) for ms in _replicate_blocks(M, N, c)]
-    results = _pool_map(partial(_measured_batch, samplers, N), tasks, threads)
+    results = _pool_map(lambda task: samplers[task[0]].batch(task[1], 0, N), tasks, threads)
     cache = [np.empty((M, N)) for _ in samplers]
-    for (li, ms), (ys, spent) in zip(tasks, results):
+    for (li, ms), ys in zip(tasks, results):
         cache[li][ms.start : ms.stop] = ys
-        for seconds, n in spent:
-            samplers[li].record(seconds, n)
 
     def make(li, s):
         return LevelSampler(
@@ -461,9 +440,7 @@ def _samplers(cfg: RunConfig, args, N: Optional[int] = None) -> List[LevelSample
     ctxs = _build_contexts(cfg)
     if args.dump_mesh or args.dump_supermesh or args.dump_noise or args.dump_field:
         _dump(cfg, ctxs, args, "dumps", 0, args.dump_field)
-    samplers = make_level_samplers(
-        ctxs, cfg.seed, use_qmc=cfg.estimator != "mlmc", cost_model=cfg.cost_model
-    )
+    samplers = make_level_samplers(ctxs, cfg.seed, use_qmc=cfg.estimator != "mlmc")
     if N is None:
         return samplers
     return _replay_samplers(samplers, N, cfg.M, args.threads, [c.chunk_size for c in ctxs])

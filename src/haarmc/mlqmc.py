@@ -18,7 +18,6 @@ __all__ = [
     "LevelSampler",
     "MLQMCState",
     "DiagnosticsReport",
-    "qmc_estimate",
     "qmc_run",
     "mlmc_optimal_allocation",
     "mlqmc_run",
@@ -62,54 +61,33 @@ class LevelSampler:
     randomization m of ms, a range of consecutive replicates, as a
     (len(ms), n1 - n0) array, replicate-major; entry (m, n) must be
     deterministic given (m, n) and the seed bound at construction, however
-    the calls are split. cost is the per-sample cost in the active cost
-    model (dof count or measured seconds). Under a measured cost, batch
-    reports each call's seconds through record(seconds, samples), which
-    folds them into cost; record is None when cost is fixed.
+    the calls are split. cost is the fixed per-sample cost the drivers
+    weigh levels by: for the problem's samplers, the interior dof count
+    of the systems one sample solves.
     """
 
     level: int
     cost: float
     batch: Callable[[range, int, int], np.ndarray]
-    record: Optional[Callable[[float, int], None]] = None
-
-
-def qmc_estimate(sampler: LevelSampler, N: int, M: int):
-    """Randomized QMC mean over M digital shifts of N points each.
-
-    Returns (mean, variance_of_mean, per_randomization_means); the variance
-    is the sample variance of the M per-shift means divided by M.
-    """
-    if N < 1 or M < 2:
-        raise ValueError("need N >= 1 and M >= 2")
-    means = sampler.batch(range(M), 0, N).mean(axis=1)
-    return float(means.mean()), float(means.var(ddof=1) / M), means
 
 
 def qmc_run(sampler: LevelSampler, eps: float, theta: float = 0.5, M: int = DEFAULT_M):
-    """Single-level randomized QMC to tolerance eps.
+    """Single-level randomized QMC to tolerance eps: mlqmc_run's doubling
+    loop on the one level, with no bias extension; each sample is drawn
+    once.
 
-    Doubles N from 1 until the variance of the mean over M shifts meets the
-    budget (1-theta)*eps^2. Returns (estimate, state) with the same state
-    type as mlqmc_run, one level holding N, that variance, the per-sample
-    cost and the mean; raises ConvergenceFailure (with state attached) if
-    N = 2**MAX_QMC_DOUBLINGS still misses the budget.
+    Returns (estimate, state) with the same state type as mlqmc_run, one
+    level holding N, the variance of the mean over M shifts, the
+    per-sample cost and the mean; raises ConvergenceFailure (with state
+    attached) if N = 2**MAX_QMC_DOUBLINGS still misses the budget
+    (1-theta)*eps^2.
     """
-    if eps <= 0 or not (0.0 < theta < 1.0):
-        raise ValueError("need eps > 0 and 0 < theta < 1")
-    budget = (1.0 - theta) * eps**2
-    N = 1
-    mean, vom, _ = qmc_estimate(sampler, N, M)
-    while vom > budget and N < 2**MAX_QMC_DOUBLINGS:
-        N *= 2
-        mean, vom, _ = qmc_estimate(sampler, N, M)
-    state = MLQMCState(
-        eps, theta, 1, 1, M, N=[N], V=[vom], cost=[sampler.cost], means=[mean]
-    )
-    if vom > budget:
-        raise ConvergenceFailure(f"variance budget not met at N = {N}", state)
+    if eps <= 0 or not (0.0 < theta < 1.0) or M < 2:
+        raise ValueError("need eps > 0, 0 < theta < 1 and M >= 2")
+    state = MLQMCState(eps, theta, 1, 1, M)
+    _extend_and_double([sampler], [], state)
     state.converged = True
-    return mean, state
+    return state.estimate(), state
 
 
 def mlmc_optimal_allocation(V: Sequence[float], C: Sequence[float], eps: float, theta: float):
@@ -205,6 +183,51 @@ def _bias_estimate(means: List[float]) -> float:
     return max(yl / (2.0**alpha - 1.0), yl / 2.0)
 
 
+def _extend_and_double(
+    samplers: Sequence[LevelSampler],
+    accums: List[_LevelAccum],
+    state: MLQMCState,
+    variance_rule: Optional[Callable[[int, int], float]] = None,
+) -> None:
+    """The QMC drivers' one loop: activate the next level of samplers at
+    N = 1, then, while the active levels' variances of the mean sum to
+    more than the budget (1-theta)*eps^2, double N on the level with the
+    largest V/(C*N), adding samples N..2N-1 of every shift to its
+    per-shift sums. state's N, V, means and costs are refreshed after
+    every step. Raises ConvergenceFailure (with state attached) when the
+    level to double already holds 2**MAX_QMC_DOUBLINGS samples.
+    """
+
+    def variance(ell: int) -> float:
+        if variance_rule is not None:
+            return float(variance_rule(ell, accums[ell].N))
+        return accums[ell].variance_of_mean()
+
+    def refresh():
+        state.N = [a.N for a in accums]
+        state.V = [variance(l) for l in range(len(accums))]
+        state.means = [a.mean() for a in accums]
+        state.cost = [samplers[l].cost for l in range(len(accums))]
+
+    ell = len(accums)
+    accums.append(_LevelAccum(1, samplers[ell].batch(range(state.M), 0, 1).sum(axis=1)))
+    state.trace.append(("extend", ell))
+    budget = (1.0 - state.theta) * state.eps**2
+    refresh()
+    while sum(state.V) > budget:
+        ratios = [
+            state.V[l] / (samplers[l].cost * accums[l].N) for l in range(len(accums))
+        ]
+        ell = int(np.argmax(ratios))  # argmax returns the first (lowest) on ties
+        a = accums[ell]
+        if a.N >= 2**MAX_QMC_DOUBLINGS:
+            raise ConvergenceFailure(f"variance budget not met at N = {a.N}", state)
+        a.sums = a.sums + samplers[ell].batch(range(state.M), a.N, 2 * a.N).sum(axis=1)
+        a.N *= 2
+        state.trace.append(("double", ell))
+        refresh()
+
+
 def mlqmc_run(
     samplers: Sequence[LevelSampler],
     eps: float,
@@ -220,15 +243,16 @@ def mlqmc_run(
     largest V/(C*N) until the variance budget (1-theta)*eps^2 is met, then
     extends the level count while the bias estimate exceeds sqrt(theta)*eps.
     Raises ConvergenceFailure (with state attached) if more than len(samplers)
-    or L_max levels would be needed.
+    or L_max levels would be needed, or a level more than
+    2**MAX_QMC_DOUBLINGS samples.
 
     variance_rule(level, N) overrides the empirical per-level estimator
     variance; used to make driver traces deterministic in tests.
     """
     if not samplers:
         raise ValueError("no samplers")
-    if eps <= 0 or not (0.0 < theta < 1.0):
-        raise ValueError("need eps > 0 and 0 < theta < 1")
+    if eps <= 0 or not (0.0 < theta < 1.0) or M < 2:
+        raise ValueError("need eps > 0, 0 < theta < 1 and M >= 2")
     if L_max is None:
         L_max = len(samplers)
     L_max = min(L_max, len(samplers))
@@ -236,47 +260,13 @@ def mlqmc_run(
         raise ValueError("L_min exceeds L_max")
     state = MLQMCState(eps, theta, L_min, L_max, M)
     accums: List[_LevelAccum] = []
-
-    def add_level():
-        ell = len(accums)
-        accums.append(_LevelAccum(1, samplers[ell].batch(range(M), 0, 1).sum(axis=1)))
-        state.trace.append(("extend", ell))
-
-    def variance(ell: int) -> float:
-        if variance_rule is not None:
-            return float(variance_rule(ell, accums[ell].N))
-        return accums[ell].variance_of_mean()
-
-    def refresh():
-        state.N = [a.N for a in accums]
-        state.V = [variance(l) for l in range(len(accums))]
-        state.means = [a.mean() for a in accums]
-        state.cost = [samplers[l].cost for l in range(len(accums))]
-
-    add_level()
-    budget = (1.0 - theta) * eps**2
     while True:
-        refresh()
-        while sum(state.V) > budget:
-            ratios = [
-                state.V[l] / (samplers[l].cost * accums[l].N)
-                for l in range(len(accums))
-            ]
-            ell = int(np.argmax(ratios))  # argmax returns the first (lowest) on ties
-            a = accums[ell]
-            a.sums = a.sums + samplers[ell].batch(range(M), a.N, 2 * a.N).sum(axis=1)
-            a.N *= 2
-            state.trace.append(("double", ell))
-            refresh()
+        _extend_and_double(samplers, accums, state, variance_rule)
         L = len(accums)
-        if L < L_min or _bias_estimate(state.means) > math.sqrt(theta) * eps:
-            if L + 1 > L_max:
-                raise ConvergenceFailure(
-                    f"bias target not reached within {L_max} levels", state
-                )
-            add_level()
-        else:
+        if not (L < L_min or _bias_estimate(state.means) > math.sqrt(theta) * eps):
             break
+        if L + 1 > L_max:
+            raise ConvergenceFailure(f"bias target not reached within {L_max} levels", state)
     state.converged = True
     return state.estimate(), state
 

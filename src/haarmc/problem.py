@@ -8,7 +8,6 @@ by one shared noise event.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -249,42 +248,21 @@ def _y_batch(ctx: LevelContext, seed: int, ms: range, n0: int, n1: int, use_qmc:
 
 
 def make_level_samplers(
-    contexts: List[LevelContext],
-    seed: int,
-    use_qmc: bool = True,
-    cost_model: str = "dofs",
+    contexts: List[LevelContext], seed: int, use_qmc: bool = True
 ) -> List[LevelSampler]:
-    """Sampler closures for the estimator drivers.
-
-    With cost_model="dofs" the per-sample cost is the fixed interior dof
-    count over the systems each sample solves; "wall" starts from that and
-    is replaced by the measured running mean seconds per sample.
-    """
-    if cost_model not in ("dofs", "wall"):
-        raise ValueError("cost_model must be 'dofs' or 'wall'")
-    return [_make_sampler(c, seed, use_qmc, cost_model == "wall") for c in contexts]
+    """Sampler closures for the estimator drivers. A sampler's cost is its
+    context's dof_cost: the interior dof count over the systems each
+    sample solves."""
+    return [_make_sampler(c, seed, use_qmc) for c in contexts]
 
 
-def _make_sampler(ctx, seed, use_qmc, wall):
-    timing = {"seconds": 0.0, "samples": 0}
-
-    def record(seconds: float, samples: int) -> None:
-        timing["seconds"] += seconds
-        timing["samples"] += samples
-        sampler.cost = timing["seconds"] / timing["samples"]
-
+def _make_sampler(ctx, seed, use_qmc):
     def batch(ms: range, n0: int, n1: int) -> np.ndarray:
         if not (isinstance(ms, range) and len(ms) and ms.step == 1 and ms.start >= 0):
             raise ValueError("replicates must be a non-empty range m0..m1-1 with m0 >= 0")
-        t0 = time.perf_counter()
-        y = _y_batch(ctx, seed, ms, n0, n1, use_qmc)
-        if wall:
-            # through the attribute, so a caller may collect the timings
-            sampler.record(time.perf_counter() - t0, y.size)
-        return y
+        return _y_batch(ctx, seed, ms, n0, n1, use_qmc)
 
-    sampler = LevelSampler(ctx.position, ctx.dof_cost, batch, record if wall else None)
-    return sampler
+    return LevelSampler(ctx.position, ctx.dof_cost, batch)
 
 
 def sample_fields(ctx: LevelContext, seed: int, m: int, n: int, use_qmc: bool = False):

@@ -20,8 +20,21 @@ from scipy.special import erfc
 
 from haarmc.lowdisc import _BITS, _SCALE, PURPOSE_NOISE, SobolGenerator
 from haarmc.mesh import HaarMesh, SimplicialMesh, cell_volumes, vertex_injection_map
+from haarmc.mlqmc import LevelSampler
 from haarmc.sparse import SparseOperator
 from haarmc.supermesh import Supermesh
+
+
+def qmc_estimate(sampler: LevelSampler, N: int, M: int):
+    """Randomized QMC mean over M digital shifts of N points each.
+
+    Returns (mean, variance_of_mean, per_randomization_means); the variance
+    is the sample variance of the M per-shift means divided by M.
+    """
+    if N < 1 or M < 2:
+        raise ValueError("need N >= 1 and M >= 2")
+    means = sampler.batch(range(M), 0, N).mean(axis=1)
+    return float(means.mean()), float(means.var(ddof=1) / M), means
 
 
 def mass_matrix(mesh):

@@ -32,7 +32,6 @@ from haarmc.mlqmc import (
     mlmc_optimal_allocation,
     mlmc_run,
     mlqmc_run,
-    qmc_estimate,
     screening_run,
 )
 from haarmc.problem import (
@@ -44,7 +43,7 @@ from haarmc.problem import (
 from haarmc.supermesh import build_supermesh, build_three_way_supermesh
 from haarmc.whitenoise import apply_noise_maps, build_layout, build_tables
 import oracles
-from oracles import RandomStream, haar_cell_index, sample_field_batch
+from oracles import RandomStream, haar_cell_index, qmc_estimate, sample_field_batch
 from test_mlqmc import _reference_greedy, const_sampler
 
 BIG1 = Box((-1.0,), (1.0,))

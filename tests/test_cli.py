@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import haarmc
-from haarmc import fem
+from haarmc import fem, mlqmc
 from haarmc.cli import (
     ConfigError,
     _pool_map,
@@ -91,6 +91,7 @@ def test_config_round_trip():
         ({"L_max": 3.0}, "L_max"),
         ({"g_box": [["0"], ["1"]], "dim": 1}, "g_box"),
         ({"out": 7}, "out"),
+        ({"cost_model": "wall"}, "cost_model"),
     ],
 )
 def test_config_validation_paths(data, path):
@@ -154,26 +155,13 @@ def test_screen_threads_do_not_change_output(tmp_path):
         assert outs["4"] == outs["1"]
 
 
-def test_screen_wall_costs_survive_worker_processes(tmp_path):
-    # each worker times its batches on its own copy of the samplers, so the
-    # parent must fold those seconds in; otherwise the dof counts remain
-    cfg = write_config(tmp_path, cost_model="wall")
-    out = tmp_path / "wall"
-    args = ["screen", "--config", str(cfg), "--out", str(out), "--threads", "2"]
-    assert main(args) == 0
-    rows = read_rows(out / "screen.csv")
-    costs = [float(row[5]) for row in rows[1:]]
-    assert len(costs) == 2
-    assert all(0.0 < c < 0.1 for c in costs), costs  # seconds per sample
-
-
 def test_replay_draws_blocks_of_whole_replicates_that_fill_a_chunk(monkeypatch):
     N, M = 5, 3
     # a level whose chunk holds all its samples, one whose chunk holds two
     # replicates, and one whose chunk holds less than one
     chunks = [M * N, 2 * N + 1, N - 1]
     blocks = [[range(0, 3)], [range(0, 1), range(1, 3)], [range(m, m + 1) for m in range(M)]]
-    calls, recorded = [], []
+    calls = []
 
     def ys(li, ms, n0, n1):
         return 100.0 * li + np.add.outer(10.0 * np.arange(ms.start, ms.stop), np.arange(n0, n1))
@@ -181,24 +169,19 @@ def test_replay_draws_blocks_of_whole_replicates_that_fill_a_chunk(monkeypatch):
     def spy(li):
         def batch(ms, n0, n1):
             calls.append((li, ms, n0, n1))
-            # through the attribute, as the problem's samplers report
-            sampler.record(0.5 * (li + 1), len(ms) * (n1 - n0))
             return ys(li, ms, n0, n1)
 
-        sampler = LevelSampler(li, 1.0, batch, lambda s, n: recorded.append((li, s, n)))
-        return sampler
+        return LevelSampler(li, 1.0, batch)
 
     samplers = [spy(li) for li in range(3)]
     tasks = [(li, ms) for li, bs in enumerate(blocks) for ms in bs]
     # serially, then in forked workers (two usable cores), whose batch calls
-    # stay in the workers while their timings reach the parent in task order
+    # stay in the workers
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for threads, called in ((1, [(li, ms, 0, N) for li, ms in tasks]), (2, [])):
         calls.clear()
-        recorded.clear()
         replay = _replay_samplers(samplers, N, M, threads, chunks)
         assert calls == called
-        assert recorded == [(li, 0.5 * (li + 1), len(ms) * N) for li, ms in tasks]
         for li, r in enumerate(replay):
             np.testing.assert_array_equal(r.batch(range(0, M), 0, N), ys(li, range(0, M), 0, N))
             np.testing.assert_array_equal(r.batch(range(1, 3), 2, 4), ys(li, range(1, 3), 2, 4))
@@ -379,6 +362,20 @@ def test_estimate_reports_failure(tmp_path):
     out = tmp_path / "fail"
     assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 3
     rows = read_rows(out / "estimate.csv")
+    assert rows[1][3] == "failed"
+
+
+def test_estimate_reports_the_sample_cap(tmp_path, monkeypatch):
+    # converges with N up to 4 on a level, so only the cap can fail it
+    cfg = write_config(
+        tmp_path, mesh_levels=[1, 2, 3, 4], haar_levels=[1, 1, 1, 1], eps=[1e-3], M=4
+    )
+    for cap, code in ((2, 0), (1, 3)):
+        monkeypatch.setattr(mlqmc, "MAX_QMC_DOUBLINGS", cap)
+        out = tmp_path / f"cap{cap}"
+        assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == code
+        rows = read_rows(out / "estimate.csv")
+        assert len(rows[1]) == (3 if code == 0 else 4)
     assert rows[1][3] == "failed"
 
 

@@ -27,14 +27,13 @@ from haarmc.mlqmc import (
     mlmc_run,
     mlqmc_run,
     nvar_diagnostic,
-    qmc_estimate,
     qmc_run,
     screening_run,
     write_estimate_csv,
     write_nvar_csv,
     write_screening_csv,
 )
-from oracles import RandomStream
+from oracles import RandomStream, qmc_estimate
 
 
 def const_sampler(level, value, cost=1.0):
@@ -107,8 +106,17 @@ def alternating_sampler(value, cost):
 
 def test_qmc_run_doubles_to_the_first_n_within_budget():
     s = alternating_sampler(0.75, 2.5)
+    calls = []
+
+    def logged(ms, n0, n1):
+        calls.append((ms, n0, n1))
+        return s.batch(ms, n0, n1)
+
     # budget 0.5 * 0.1^2 = 5e-3: N = 8 gives 1/192 > 5e-3, N = 16 gives 1/768
-    est, state = qmc_run(s, 0.1, 0.5, M=4)
+    est, state = qmc_run(LevelSampler(0, 2.5, logged), 0.1, 0.5, M=4)
+    # each doubling draws only the new samples N..2N-1
+    assert calls == [(range(4), 0, 1), (range(4), 1, 2), (range(4), 2, 4),
+                     (range(4), 4, 8), (range(4), 8, 16)]
     mean, vom, _ = qmc_estimate(s, 16, 4)
     assert state.converged
     assert (state.N, state.V, state.cost, state.means) == ([16], [vom], [2.5], [mean])
@@ -286,6 +294,18 @@ def test_greedy_reports_failure_state():
     assert state.n_levels == 2
 
 
+def test_greedy_reports_the_sample_cap(monkeypatch):
+    monkeypatch.setattr(mlqmc, "MAX_QMC_DOUBLINGS", 3)
+    samplers = [const_sampler(l, 4.0 ** (-l)) for l in range(3)]
+    rule = lambda l, N: 1.0 / N  # over the 5e-3 budget up to the cap
+    with pytest.raises(ConvergenceFailure, match="variance budget not met at N = 8") as exc:
+        mlqmc_run(samplers, 0.1, M=4, variance_rule=rule)
+    state = exc.value.state
+    assert not state.converged
+    assert state.N == [8] and state.V == [1.0 / 8]
+    assert state.trace == [("extend", 0)] + [("double", 0)] * 3
+
+
 def test_greedy_validation():
     s = [const_sampler(0, 1.0)]
     with pytest.raises(ValueError):
@@ -296,6 +316,8 @@ def test_greedy_validation():
         mlqmc_run(s, 0.1, theta=1.5)
     with pytest.raises(ValueError):
         mlqmc_run(s, 0.1, L_min=5, L_max=2)
+    with pytest.raises(ValueError):
+        mlqmc_run(s, 0.1, L_min=1, M=1)
 
 
 def test_mlmc_run_constant_levels():

@@ -302,32 +302,6 @@ def test_contexts_share_one_layout_per_haar_level():
     assert ctxs[0].layout is not ctxs[1].layout
 
 
-def test_wall_cost_model():
-    ctxs = build_level_contexts(1, [2], [1], PARAMS_1D)
-    s = make_level_samplers(ctxs, seed=1, cost_model="wall")[0]
-    dof = s.cost
-    s.batch(range(1), 0, 8)
-    assert s.cost != dof and s.cost > 0
-    with pytest.raises(ValueError):
-        make_level_samplers(ctxs, seed=1, cost_model="cpu")
-
-
-def test_wall_cost_is_the_running_mean_of_recorded_batches(monkeypatch):
-    # each batch reads one tick of the clock before and after, so it records
-    # one second, and the running mean is exactly calls / samples
-    ticks = iter(range(10**6))
-    monkeypatch.setattr(problem.time, "perf_counter", lambda: float(next(ticks)))
-    monkeypatch.setattr(
-        problem, "_y_batch", lambda ctx, seed, ms, n0, n1, *a: np.zeros((len(ms), n1 - n0))
-    )
-    ctxs = build_level_contexts(1, [2], [1], PARAMS_1D)
-    s = make_level_samplers(ctxs, seed=1, cost_model="wall")[0]
-    shapes = [(1 + i % 2, 1 + i % 3) for i in range(200)]
-    for m, k in shapes:
-        s.batch(range(m), 0, k)
-    assert s.cost == len(shapes) / sum(m * k for m, k in shapes)
-
-
 def test_level_call_memory_is_bounded():
     """One call over a whole level's replicates: the chunk, not the call,
     bounds its scratch memory. At screen-2d's finest position (24 samples a
