@@ -260,9 +260,6 @@ def _matern_params(cfg: RunConfig) -> MaternParams:
     m = cfg.matern
     if m.mode == "match-lognormal":
         return MaternParams.lognormal_matched(cfg.dim, m.lam, m.mean, m.variance)
-    if m.sigma == 0:
-        base = MaternParams.create(cfg.dim, 1.0, m.lam, m.mean_shift)
-        return replace(base, sigma=0.0, eta=0.0)
     return MaternParams.create(cfg.dim, m.sigma, m.lam, m.mean_shift)
 
 
@@ -471,6 +468,11 @@ def cmd_nvar(cfg: RunConfig, args) -> int:
 def cmd_estimate(cfg: RunConfig, args) -> int:
     if cfg.synthetic:
         raise ConfigError("synthetic", "estimate needs the PDE problem")
+    _require(
+        cfg.estimator == "qmc" or cfg.L_min <= len(cfg.mesh_levels),
+        "L_min",
+        "must not exceed the number of mesh levels",
+    )
     if cfg.estimator == "qmc":
         finest = replace(
             cfg, mesh_levels=cfg.mesh_levels[-1:], haar_levels=cfg.haar_levels[-1:]

@@ -1,10 +1,12 @@
 """P1 finite elements: assembly, Dirichlet solves, and the Matern field law.
 
-Matrices are assembled over all vertices; homogeneous Dirichlet conditions
-are applied by restricting to interior rows and columns, which keeps the
-systems symmetric positive definite. Every system, in 1D and 2D, is solved
-by one banded Cholesky factorisation (LAPACK pbtrf/pbtrs) in reverse
-Cuthill-McKee order, and every solve checks its residual.
+Every matrix is summed from per-cell local matrices straight into the
+interior rows and columns (one builder, `_interior_matrix`): the homogeneous
+Dirichlet rows and columns are never formed, which keeps the systems
+symmetric positive definite. Every system, in 1D and 2D, is solved by one
+banded Cholesky factorisation (LAPACK pbtrf/pbtrs) in reverse Cuthill-McKee
+order, and every solve checks its residual with one helper,
+`_check_residual`.
 
 LAPACK is called through ctypes from the OpenBLAS that numpy's wheels
 bundle (`numpy.libs/libscipy_openblas64_*`, or `numpy/.dylibs` on macOS),
@@ -20,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,11 +32,9 @@ from .sparse import SparseOperator
 __all__ = [
     "MaternParams",
     "ConvergenceError",
-    "assemble_stiffness",
     "assemble_helmholtz",
     "assemble_lognormal_diffusion",
     "assemble_load",
-    "restrict_interior",
     "embed_interior",
     "factorized_spd",
     "solve_spd",
@@ -74,8 +74,8 @@ class MaternParams:
         """One application of the Helmholtz operator; nu = 2 - dim/2."""
         if dim not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
-        if sigma <= 0 or lam <= 0:
-            raise ValueError("sigma and lam must be positive")
+        if sigma < 0 or lam <= 0:
+            raise ValueError("sigma must be non-negative and lam positive")
         nu = 2.0 - dim / 2.0
         kappa = math.sqrt(8.0 * nu) / lam
         eta = (
@@ -116,27 +116,32 @@ def _local_arrays(mesh: SimplicialMesh):
     return vols, grads
 
 
-def _scatter(mesh: SimplicialMesh, local: np.ndarray) -> SparseOperator:
+def _interior_entries(mesh: SimplicialMesh):
+    """Interior row and column of each entry of the cells' local matrices,
+    shape (n_cells, (d+1)^2) in row-major local order, -1 at a boundary
+    vertex; and the mask of the entries where both are interior."""
+    pos = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    pos[mesh.interior_vertices] = np.arange(mesh.interior_vertices.size)
     d1 = mesh.dim + 1
-    rows = np.repeat(mesh.cells, d1, axis=1)
-    cols = np.tile(mesh.cells, (1, d1))
-    return SparseOperator(rows, cols, local, (mesh.n_vertices, mesh.n_vertices))
+    rows = pos[np.repeat(mesh.cells, d1, axis=1)]
+    cols = pos[np.tile(mesh.cells, (1, d1))]
+    return rows, cols, (rows >= 0) & (cols >= 0)
+
+
+def _interior_matrix(mesh: SimplicialMesh, local: np.ndarray) -> SparseOperator:
+    """The interior rows and columns of the matrix summed from the local
+    matrices `local` (n_cells, d+1, d+1); repeated entries are summed in
+    cell order."""
+    rows, cols, keep = _interior_entries(mesh)
+    n = mesh.interior_vertices.size
+    return SparseOperator(
+        rows[keep], cols[keep], local.reshape(mesh.n_cells, -1)[keep], (n, n)
+    )
 
 
 def _reference_mass(d: int) -> np.ndarray:
     """Local mass matrix of the reference simplex, per unit volume."""
     return (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
-
-
-def assemble_stiffness(
-    mesh: SimplicialMesh, coeff: Optional[np.ndarray] = None
-) -> SparseOperator:
-    """Stiffness matrix, optionally weighted by piecewise-constant cell
-    values `coeff`."""
-    vols, grads = _local_arrays(mesh)
-    w = vols if coeff is None else vols * np.asarray(coeff, dtype=float)
-    local = w[:, None, None] * np.einsum("cik,cjk->cij", grads, grads)
-    return _scatter(mesh, local)
 
 
 def assemble_helmholtz(mesh: SimplicialMesh, kappa: float) -> SparseOperator:
@@ -147,7 +152,7 @@ def assemble_helmholtz(mesh: SimplicialMesh, kappa: float) -> SparseOperator:
     vols, grads = _local_arrays(mesh)
     mass = vols[:, None, None] * _reference_mass(mesh.dim)
     stiff = vols[:, None, None] * np.einsum("cik,cjk->cij", grads, grads)
-    return restrict_interior(_scatter(mesh, mass + stiff / kappa**2), mesh)
+    return _interior_matrix(mesh, mass + stiff / kappa**2)
 
 
 def assemble_lognormal_diffusion(mesh: SimplicialMesh, u: np.ndarray) -> SparseOperator:
@@ -156,7 +161,9 @@ def assemble_lognormal_diffusion(mesh: SimplicialMesh, u: np.ndarray) -> SparseO
     coeff = np.exp(cell_midpoint_values(mesh, u))
     if not np.all(np.isfinite(coeff)):
         raise ValueError("diffusion coefficient is not finite")
-    return restrict_interior(assemble_stiffness(mesh, coeff), mesh)
+    vols, grads = _local_arrays(mesh)
+    local = (vols * coeff)[:, None, None] * np.einsum("cik,cjk->cij", grads, grads)
+    return _interior_matrix(mesh, local)
 
 
 def assemble_load(mesh: SimplicialMesh, value: float = 1.0) -> np.ndarray:
@@ -166,17 +173,6 @@ def assemble_load(mesh: SimplicialMesh, value: float = 1.0) -> np.ndarray:
     out = np.zeros(mesh.n_vertices)
     np.add.at(out, mesh.cells.ravel(), np.repeat(vols * value / (d + 1), d + 1))
     return out
-
-
-def restrict_interior(A: SparseOperator, mesh: SimplicialMesh) -> SparseOperator:
-    """The interior rows and columns of a matrix over all vertices."""
-    idx = mesh.interior_vertices
-    pos = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    pos[idx] = np.arange(idx.size)
-    rows = pos[np.repeat(np.arange(mesh.n_vertices), np.diff(A.indptr))]
-    cols = pos[A.indices]
-    keep = (rows >= 0) & (cols >= 0)
-    return SparseOperator(rows[keep], cols[keep], A.data[keep], (idx.size, idx.size))
 
 
 def embed_interior(x: np.ndarray, mesh: SimplicialMesh) -> np.ndarray:
@@ -351,18 +347,18 @@ def factorized_spd(A: SparseOperator) -> Callable:
     def solve(b):
         b = np.asarray(b, dtype=float)
         x = band.solve(c, b)
-        _check_residual(A, x, b)
+        _check_residual(A @ x - b, b)
         return x
 
     return solve
 
 
-def _check_residual(A, x, b):
-    r = A @ x - b
-    nb = np.linalg.norm(b, axis=0) if b.ndim > 1 else np.linalg.norm(b)
-    scale = np.maximum(nb, 1e-300)
-    nr = np.linalg.norm(r, axis=0) if b.ndim > 1 else np.linalg.norm(r)
-    if np.any(nr > RESIDUAL_RTOL * scale):
+def _check_residual(r: np.ndarray, b: np.ndarray) -> None:
+    """Raise ConvergenceError unless every residual r, a vector or the
+    columns of a matrix, is within RESIDUAL_RTOL of the norm of its
+    right-hand side b (a vector, or one column per residual)."""
+    scale = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+    if np.any(np.linalg.norm(r, axis=0) > RESIDUAL_RTOL * scale):
         raise ConvergenceError("linear solve residual above tolerance")
 
 
@@ -393,20 +389,14 @@ class DiffusionSolver:
         n = interior.size
         if n == 0:
             raise ValueError("mesh has no interior vertices")
-        pos = np.full(mesh.n_vertices, -1, dtype=np.int64)
-        pos[interior] = np.arange(n)
-        d1 = mesh.dim + 1
         vols, grads = _local_arrays(mesh)
         stiff = np.einsum("cik,cjk->cij", grads, grads).reshape(mesh.n_cells, -1)
-        mass = (vols[:, None, None] * _reference_mass(mesh.dim)).reshape(mesh.n_cells, -1)
-        rows = pos[np.repeat(mesh.cells, d1, axis=1)]
-        cols = pos[np.tile(mesh.cells, (1, d1))]
-        keep = (rows >= 0) & (cols >= 0)
         self.mesh = mesh
         self.n = n
         self._vols = vols
-        self.mass = SparseOperator(rows[keep], cols[keep], mass[keep], (n, n))
+        self.mass = _interior_matrix(mesh, vols[:, None, None] * _reference_mass(mesh.dim))
         self.indptr, self.indices = self.mass.indptr, self.mass.indices
+        rows, cols, keep = _interior_entries(mesh)
         pattern = np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
         slot = np.searchsorted(pattern, rows[keep] * n + cols[keep])
         self.W = SparseOperator(
@@ -432,9 +422,7 @@ class DiffusionSolver:
         data = self.matrix_data(u, shift)
         c = self._band.factor(data)
         p = self._band.solve(c, np.tile(self.load, len(data))).reshape(len(data), self.n)
-        r = self.mass.apply(p.T, data).T - self.load
-        if np.any(np.linalg.norm(r, axis=1) > RESIDUAL_RTOL * np.linalg.norm(self.load)):
-            raise ConvergenceError("diffusion solve residual above tolerance")
+        _check_residual(self.mass.apply(p.T, data) - self.load[:, None], self.load)
         return p
 
     def norm_sq(self, p: np.ndarray) -> np.ndarray:

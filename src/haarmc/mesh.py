@@ -258,10 +258,7 @@ def is_nested(
 class MeshHierarchy:
     """Per-level triple (inner mesh on G, outer mesh on D, Haar grid on D)."""
 
-    g_box: Box
-    d_box: Box
     levels: list  # entries (g_mesh, d_mesh, haar)
-    level_indices: list  # the integer level of each entry
     injections: list = field(default_factory=list)  # G vertex -> D vertex maps
 
     def __post_init__(self):
@@ -275,10 +272,6 @@ class MeshHierarchy:
         haar_levels = [h.level for _, _, h in self.levels]
         if any(b < a for a, b in zip(haar_levels, haar_levels[1:])):
             raise ValueError("Haar levels must be non-decreasing across the hierarchy")
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
 
 
 def hierarchy_diagonal(level: int) -> str:
@@ -307,7 +300,7 @@ def build_hierarchy(
         g = build_uniform_mesh(g_box, dim, 2**ell, diagonal=diag)
         d = build_uniform_mesh(d_box, dim, 2 ** (ell + 1), diagonal=diag)
         levels.append((g, d, HaarMesh(lcal, dim, d_box)))
-    return MeshHierarchy(g_box, d_box, levels, list(level_indices))
+    return MeshHierarchy(levels)
 
 
 def write_mesh(mesh: SimplicialMesh, path) -> None:

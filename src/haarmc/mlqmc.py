@@ -84,7 +84,7 @@ def qmc_run(sampler: LevelSampler, eps: float, theta: float = 0.5, M: int = DEFA
     """
     if eps <= 0 or not (0.0 < theta < 1.0) or M < 2:
         raise ValueError("need eps > 0, 0 < theta < 1 and M >= 2")
-    state = MLQMCState(eps, theta, 1, 1, M)
+    state = MLQMCState(eps, theta, M)
     _extend_and_double([sampler], [], state)
     state.converged = True
     return state.estimate(), state
@@ -148,8 +148,6 @@ class MLQMCState:
 
     eps: float
     theta: float
-    L_min: int
-    L_max: int
     M: int
     N: List[int] = field(default_factory=list)
     V: List[float] = field(default_factory=list)
@@ -258,7 +256,7 @@ def mlqmc_run(
     L_max = min(L_max, len(samplers))
     if L_min > L_max:
         raise ValueError("L_min exceeds L_max")
-    state = MLQMCState(eps, theta, L_min, L_max, M)
+    state = MLQMCState(eps, theta, M)
     accums: List[_LevelAccum] = []
     while True:
         _extend_and_double(samplers, accums, state, variance_rule)
@@ -303,14 +301,16 @@ def mlmc_run(
 
     Samplers are used in plain Monte Carlo mode with randomization index 0;
     sample n of level ell is deterministic given the bound seed. Returns
-    (estimate, state) with the same state type as mlqmc_run (M = 1).
+    (estimate, state) with the same state type as mlqmc_run (M = 1); raises
+    ConvergenceFailure (with the state of the samples drawn attached) if
+    more than L_max levels would be needed.
     """
     if not samplers:
         raise ValueError("no samplers")
     if L_max is None:
         L_max = len(samplers)
     L_max = min(L_max, len(samplers))
-    state = MLQMCState(eps, theta, L_min, L_max, 1)
+    state = MLQMCState(eps, theta, 1)
     accums: List[_MCAccum] = []
     targets: List[int] = []
 
@@ -335,20 +335,18 @@ def mlmc_run(
                 grew = True
         if grew:
             continue
-        means = [a.mean() for a in accums]
-        if _bias_estimate(means) > math.sqrt(theta) * eps:
+        state.N = [a.N for a in accums]
+        state.V = [v / a.N for v, a in zip(V, accums)]
+        state.means = [a.mean() for a in accums]
+        state.cost = C
+        if _bias_estimate(state.means) > math.sqrt(theta) * eps:
             if len(accums) + 1 > L_max:
-                state.N = [a.N for a in accums]
                 raise ConvergenceFailure(
                     f"bias target not reached within {L_max} levels", state
                 )
             add_level()
             continue
         break
-    state.N = [a.N for a in accums]
-    state.V = [a.var() / a.N for a in accums]
-    state.means = [a.mean() for a in accums]
-    state.cost = [samplers[l].cost for l in range(len(accums))]
     state.converged = True
     return state.estimate(), state
 

@@ -139,7 +139,6 @@ def _haar_transform(layout: HaarLayout) -> SparseOperator:
 class SpaceTables:
     """One function space's part of a level's noise operator."""
 
-    n_dofs: int
     I_mat: SparseOperator  # (n_dofs, n_haar) integrals over Haar cells
     G_map: SparseOperator  # (n_dofs, n_cells * (d+1)) local factors on the dofs
 
@@ -156,10 +155,6 @@ class CellGeometryTables:
     @property
     def n_cells(self) -> int:
         return self.cell_block_size // (self.dim + 1)
-
-    @property
-    def coupled(self) -> bool:
-        return len(self.spaces) == 2
 
     @property
     def cell_block_size(self) -> int:
@@ -225,7 +220,7 @@ def _space_tables(
     I_mat = SparseOperator(
         dofs, np.repeat(sm.parent_haar, d1), int_loc, (mesh.n_vertices, haar.n_cells)
     )
-    return SpaceTables(mesh.n_vertices, I_mat, G_map)
+    return SpaceTables(I_mat, G_map)
 
 
 def build_tables(

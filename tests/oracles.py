@@ -18,6 +18,7 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 from scipy.special import erfc
 
+from haarmc.fem import _local_arrays
 from haarmc.lowdisc import _BITS, _SCALE, PURPOSE_NOISE, SobolGenerator
 from haarmc.mesh import HaarMesh, SimplicialMesh, cell_volumes, vertex_injection_map
 from haarmc.mlqmc import LevelSampler
@@ -48,15 +49,41 @@ def mass_matrix(mesh):
     return M
 
 
+def scatter(mesh, local):
+    """The matrix over all vertices summed from the local matrices `local`
+    (n_cells, d+1, d+1) as COO triplets."""
+    d1 = mesh.dim + 1
+    rows = np.repeat(mesh.cells, d1, axis=1)
+    cols = np.tile(mesh.cells, (1, d1))
+    return SparseOperator(rows, cols, local, (mesh.n_vertices, mesh.n_vertices))
+
+
 def assemble_mass(mesh):
     """P1 mass matrix as a SparseOperator: the closed-form local matrix of
     every cell, summed as COO triplets."""
     d1 = mesh.dim + 1
     base = (np.ones((d1, d1)) + np.eye(d1)) / (d1 * (d1 + 1))
-    local = cell_volumes(mesh)[:, None, None] * base[None]
-    rows = np.repeat(mesh.cells, d1, axis=1)
-    cols = np.tile(mesh.cells, (1, d1))
-    return SparseOperator(rows, cols, local, (mesh.n_vertices, mesh.n_vertices))
+    return scatter(mesh, cell_volumes(mesh)[:, None, None] * base[None])
+
+
+def assemble_stiffness(mesh, coeff=None):
+    """Stiffness matrix, optionally weighted by piecewise-constant cell
+    values `coeff`."""
+    vols, grads = _local_arrays(mesh)
+    w = vols if coeff is None else vols * np.asarray(coeff, dtype=float)
+    local = w[:, None, None] * np.einsum("cik,cjk->cij", grads, grads)
+    return scatter(mesh, local)
+
+
+def restrict_interior(A, mesh):
+    """The interior rows and columns of a matrix over all vertices."""
+    idx = mesh.interior_vertices
+    pos = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    pos[idx] = np.arange(idx.size)
+    rows = pos[np.repeat(np.arange(mesh.n_vertices), np.diff(A.indptr))]
+    cols = pos[A.indices]
+    keep = (rows >= 0) & (cols >= 0)
+    return SparseOperator(rows[keep], cols[keep], A.data[keep], (idx.size, idx.size))
 
 
 @dataclass(frozen=True)

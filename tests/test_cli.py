@@ -355,14 +355,28 @@ def test_estimate_mlqmc_and_qmc(tmp_path):
 
 
 def test_estimate_reports_failure(tmp_path):
-    cfg = write_config(
-        tmp_path, mesh_levels=[1], haar_levels=[3], eps=[1e-3], M=8,
-        L_min=1, L_max=1,
-    )
-    out = tmp_path / "fail"
-    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 3
-    rows = read_rows(out / "estimate.csv")
-    assert rows[1][3] == "failed"
+    for estimator in ("mlqmc", "mlmc"):
+        cfg = write_config(
+            tmp_path, mesh_levels=[1], haar_levels=[3], eps=[1e-3], M=8,
+            L_min=1, L_max=1, estimator=estimator,
+        )
+        out = tmp_path / estimator
+        assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 3
+        row = read_rows(out / "estimate.csv")[1]
+        assert row[3] == "failed"
+        # the cost and estimate of the samples drawn before the failure
+        assert float(row[1]) > 0 and float(row[2]) > 0
+
+
+def test_estimate_rejects_l_min_above_the_mesh_levels(tmp_path, capsys):
+    for estimator in ("mlqmc", "mlmc"):
+        cfg = write_config(tmp_path, estimator=estimator, eps=[0.2], L_min=3)
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "L_min" in capsys.readouterr().err
+    # screen and the single-level qmc estimator ignore L_min
+    cfg = write_config(tmp_path, estimator="qmc", eps=[0.2], L_min=3)
+    for command in ("estimate", "screen"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
 
 
 def test_estimate_reports_the_sample_cap(tmp_path, monkeypatch):

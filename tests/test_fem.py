@@ -15,17 +15,21 @@ from haarmc.fem import (
     assemble_helmholtz,
     assemble_load,
     assemble_lognormal_diffusion,
-    assemble_stiffness,
     embed_interior,
     factorized_spd,
     matern_field_from_noise,
-    restrict_interior,
     solve_spd,
 )
 from haarmc.mesh import Box, SimplicialMesh, build_hierarchy, build_uniform_mesh
 from haarmc.problem import default_d_box, default_g_box
 import oracles
-from oracles import assemble_mass, functional_l2sq, transfer_field
+from oracles import (
+    assemble_mass,
+    assemble_stiffness,
+    functional_l2sq,
+    restrict_interior,
+    transfer_field,
+)
 
 G2 = Box((-0.5, -0.5), (0.5, 0.5))
 UNIT1 = Box((0.0,), (1.0,))
@@ -220,6 +224,9 @@ def test_matern_params_derivations():
     assert p2.kappa == pytest.approx(math.sqrt(8.0) / 0.25, rel=1e-14)
     # nu = 1 makes the gamma ratio 1, leaving sigma * sqrt(4 pi) / kappa
     assert p2.eta == pytest.approx(0.9 * math.sqrt(4.0 * math.pi) / p2.kappa, rel=1e-14)
+    # sigma = 0 is the deterministic coefficient: no noise
+    p0 = MaternParams.create(2, 0.0, 0.25)
+    assert p0.eta == 0.0 and p0.kappa == p2.kappa
 
 
 def test_matern_params_validation():
@@ -299,6 +306,53 @@ SOLVER_MESHES = {
     "2d-one-dof": lambda: build_uniform_mesh(UNIT2, 2, 2),
     "2d-jittered": lambda: _jittered_2d(8, 0.3, 11),
 }
+
+
+def _random_1d(n, seed):
+    """1D mesh of n cells with random spacing, its vertices stored in
+    random order and each cell's endpoints in random order."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([[-0.5], np.sort(rng.uniform(-0.5, 0.5, n - 1)), [0.5]])
+    order = rng.permutation(n + 1)
+    new_of_old = np.argsort(order)
+    cells = new_of_old[np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)]
+    cells = np.where(rng.random((n, 1)) < 0.5, cells, cells[:, ::-1])
+    return SimplicialMesh(1, x[order, None], cells, np.sort(new_of_old[[0, n]]))
+
+
+ASSEMBLY_MESHES = dict(
+    SOLVER_MESHES,
+    **{f"1d-random-{seed}": (lambda seed=seed: _random_1d(5 + 7 * seed, seed)) for seed in range(4)},
+)
+
+
+def _assert_same_csr(A, B):
+    assert A.shape == B.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, name), getattr(B, name)), name
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_MESHES))
+def test_interior_assembly_matches_full_assembly_then_restriction(name):
+    # the interior builder against assembly over all vertices followed by
+    # the restriction to interior rows and columns: the same entries are
+    # summed in the same (cell) order, so the CSR arrays agree bit for bit
+    mesh = ASSEMBLY_MESHES[name]()
+    kappa = 3.0
+    vols, grads = fem._local_arrays(mesh)
+    mass = vols[:, None, None] * fem._reference_mass(mesh.dim)
+    stiff = vols[:, None, None] * np.einsum("cik,cjk->cij", grads, grads)
+    _assert_same_csr(
+        assemble_helmholtz(mesh, kappa),
+        restrict_interior(oracles.scatter(mesh, mass + stiff / kappa**2), mesh),
+    )
+    u = 0.7 * np.random.default_rng(mesh.n_vertices).standard_normal(mesh.n_vertices)
+    coeff = np.exp(fem.cell_midpoint_values(mesh, u))
+    _assert_same_csr(
+        assemble_lognormal_diffusion(mesh, u),
+        restrict_interior(assemble_stiffness(mesh, coeff), mesh),
+    )
+    _assert_same_csr(DiffusionSolver(mesh).mass, restrict_interior(assemble_mass(mesh), mesh))
 
 
 @pytest.mark.parametrize("batch", [1, 32])

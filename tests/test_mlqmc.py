@@ -329,6 +329,19 @@ def test_mlmc_run_constant_levels():
     assert state.N == [64, 64, 64]
 
 
+def test_mlmc_run_reports_failure_state():
+    # the bias of level 0 alone stays large, so L_max = 1 fails; the state
+    # still carries the samples drawn
+    samplers = [const_sampler(0, 1.0, 2.0), const_sampler(1, 0.5, 4.0)]
+    with pytest.raises(ConvergenceFailure) as exc:
+        mlmc_run(samplers, 0.1, L_min=1, L_max=1, N_init=64)
+    state = exc.value.state
+    assert not state.converged
+    assert state.N == [64] and state.cost == [2.0] and state.means == [1.0]
+    assert len(state.V) == 1 and state.V[0] > 0
+    assert state.estimate() == 1.0 and state.total_cost() == 128.0
+
+
 def test_nvar_diagnostic_trends():
     rows = nvar_diagnostic([identity_qmc_sampler()], [16, 64, 256], 8)
     assert [(r[0], r[1]) for r in rows] == [(0, 16), (0, 64), (0, 256)]
