@@ -1,6 +1,7 @@
 """Configuration-driven command line front end.
 
-Four commands over one JSON config: `field` (dump single samples), `screen`
+Four commands over one JSON config: `field` (one sample's fields at every
+level and, on request, its meshes, supermeshes and noise), `screen`
 (level-by-level bias/variance/cost tables), `nvar` (N * variance tables),
 and `estimate` (run an estimator over a tolerance sweep). All outputs are
 CSV plus a manifest; reruns with the same manifest are byte-identical.
@@ -85,7 +86,6 @@ class RunConfig:
     N_init: int = 64
     N_screen: int = 128
     N_list: List[int] = field(default_factory=lambda: [16, 32, 64, 128, 256])
-    synthetic: bool = False
 
 
 # the config keys are the dataclass fields; MaternConfig.lam is "lambda"
@@ -237,7 +237,6 @@ def validate_config(cfg: RunConfig) -> None:
         "N_list",
         "must be a non-empty list of powers of two",
     )
-    _require(isinstance(cfg.synthetic, bool), "synthetic", "must be a boolean")
     _require(isinstance(cfg.out, str), "out", "must be a string")
 
 
@@ -274,20 +273,6 @@ def _build_contexts(cfg: RunConfig):
     return build_level_contexts(
         cfg.dim, cfg.mesh_levels, cfg.haar_levels, _matern_params(cfg), g_box, d_box
     )
-
-
-def _synthetic_samplers(n_levels: int) -> List[LevelSampler]:
-    """Deterministic stand-ins with exact geometric decay: Y = 4^-level,
-    cost = 4^level. The screening fit recovers alpha = gamma = 2 exactly."""
-
-    def make(ell):
-        return LevelSampler(
-            level=ell,
-            cost=4.0**ell,
-            batch=lambda ms, n0, n1: np.full((len(ms), n1 - n0), 4.0**-ell),
-        )
-
-    return [make(ell) for ell in range(n_levels)]
 
 
 def _usable_cores() -> int:
@@ -378,7 +363,7 @@ def _replay_samplers(samplers, N: int, M: int, threads: int, chunks):
 
 
 # --------------------------------------------------------------------------
-# dumps
+# commands
 
 
 def _write_field_csv(path, mesh, values, header_line: str) -> None:
@@ -398,11 +383,13 @@ def _write_noise_csv(path, values) -> None:
             f.write(f"{i},{float(v)!r}\n")
 
 
-def _dump(cfg: RunConfig, ctxs, args, command: str, n: int, fields: bool) -> None:
-    """Write the files of sample n that the --dump-* flags ask for at every
-    level, and its field CSVs when `fields` is set, under a `command`
-    manifest."""
-    out = _prepare_out(cfg, command)
+def cmd_field(cfg: RunConfig, args) -> int:
+    """Write the field CSVs of sample --sample at every level, and the
+    meshes, supermeshes and noise the --dump-* flags ask for."""
+    n = args.sample
+    _require(n >= 0, "sample", "must be >= 0")
+    ctxs = _build_contexts(cfg)
+    out = _prepare_out(cfg, "field")
     for ctx in ctxs:
         pos = ctx.position
         if args.dump_mesh:
@@ -415,41 +402,27 @@ def _dump(cfg: RunConfig, ctxs, args, command: str, n: int, fields: bool) -> Non
             _write_noise_csv(out / f"noise_l{pos}.csv", b_fine)
             if b_coarse is not None:
                 _write_noise_csv(out / f"noise_l{pos}_coarse.csv", b_coarse)
-        if fields:
-            head = f"# seed={cfg.seed} level={pos} sample={n}"
-            # ctx.spaces ends the zip before an uncoupled level's None
-            values = sample_fields(ctx, cfg.seed, 0, n)
-            for suffix, u, space in zip(("", "_coarse"), values, ctx.spaces):
-                _write_field_csv(out / f"field_l{pos}{suffix}.csv", space.g_mesh, u, head)
-
-
-# --------------------------------------------------------------------------
-# commands
-
-
-def _samplers(cfg: RunConfig, args, N: Optional[int] = None) -> List[LevelSampler]:
-    """The level samplers a command runs on cfg, after writing the files
-    the --dump-* flags ask for (sample 0). With N, samples 0..N-1 of
-    replicates 0..M-1 are drawn up front in --threads workers and
-    replayed."""
-    if cfg.synthetic:
-        return _synthetic_samplers(len(cfg.mesh_levels))
-    ctxs = _build_contexts(cfg)
-    if args.dump_mesh or args.dump_supermesh or args.dump_noise or args.dump_field:
-        _dump(cfg, ctxs, args, "dumps", 0, args.dump_field)
-    samplers = make_level_samplers(ctxs, cfg.seed, use_qmc=cfg.estimator != "mlmc")
-    if N is None:
-        return samplers
-    return _replay_samplers(samplers, N, cfg.M, args.threads, [c.chunk_size for c in ctxs])
-
-
-def cmd_field(cfg: RunConfig, args) -> int:
-    _dump(cfg, _build_contexts(cfg), args, "field", args.sample, fields=True)
+        head = f"# seed={cfg.seed} level={pos} sample={n}"
+        # ctx.spaces ends the zip before an uncoupled level's None
+        values = sample_fields(ctx, cfg.seed, 0, n)
+        for suffix, u, space in zip(("", "_coarse"), values, ctx.spaces):
+            _write_field_csv(out / f"field_l{pos}{suffix}.csv", space.g_mesh, u, head)
     return 0
 
 
+def _samplers(cfg: RunConfig, N: Optional[int] = None, threads: int = 1) -> List[LevelSampler]:
+    """The level samplers a command runs on cfg. With N, samples 0..N-1 of
+    replicates 0..M-1 are drawn up front in `threads` workers and
+    replayed."""
+    ctxs = _build_contexts(cfg)
+    samplers = make_level_samplers(ctxs, cfg.seed, use_qmc=cfg.estimator != "mlmc")
+    if N is None:
+        return samplers
+    return _replay_samplers(samplers, N, cfg.M, threads, [c.chunk_size for c in ctxs])
+
+
 def cmd_screen(cfg: RunConfig, args) -> int:
-    report = screening_run(_samplers(cfg, args, cfg.N_screen), cfg.N_screen, cfg.M)
+    report = screening_run(_samplers(cfg, cfg.N_screen, args.threads), cfg.N_screen, cfg.M)
     out = _prepare_out(cfg, "screen")
     write_screening_csv(out / "screen.csv", report)
     print(
@@ -459,15 +432,13 @@ def cmd_screen(cfg: RunConfig, args) -> int:
 
 
 def cmd_nvar(cfg: RunConfig, args) -> int:
-    rows = nvar_diagnostic(_samplers(cfg, args, max(cfg.N_list)), cfg.N_list, cfg.M)
+    rows = nvar_diagnostic(_samplers(cfg, max(cfg.N_list), args.threads), cfg.N_list, cfg.M)
     out = _prepare_out(cfg, "nvar")
     write_nvar_csv(out / "nvar.csv", rows)
     return 0
 
 
 def cmd_estimate(cfg: RunConfig, args) -> int:
-    if cfg.synthetic:
-        raise ConfigError("synthetic", "estimate needs the PDE problem")
     _require(
         cfg.estimator == "qmc" or cfg.L_min <= len(cfg.mesh_levels),
         "L_min",
@@ -477,15 +448,15 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
         finest = replace(
             cfg, mesh_levels=cfg.mesh_levels[-1:], haar_levels=cfg.haar_levels[-1:]
         )
-        run = partial(qmc_run, _samplers(finest, args)[0], M=cfg.M)
+        run = partial(qmc_run, _samplers(finest)[0], M=cfg.M)
     elif cfg.estimator == "mlqmc":
         run = partial(
-            mlqmc_run, _samplers(cfg, args), L_min=cfg.L_min, L_max=cfg.L_max, M=cfg.M
+            mlqmc_run, _samplers(cfg), L_min=cfg.L_min, L_max=cfg.L_max, M=cfg.M
         )
     else:
         run = partial(
             mlmc_run,
-            _samplers(cfg, args),
+            _samplers(cfg),
             L_min=cfg.L_min,
             L_max=cfg.L_max,
             N_init=cfg.N_init,
@@ -541,12 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None)
-        p.add_argument("--dump-mesh", action="store_true")
-        p.add_argument("--dump-supermesh", action="store_true")
-        p.add_argument("--dump-noise", action="store_true")
-        p.add_argument("--dump-field", action="store_true")
         if name == "field":
             p.add_argument("--sample", type=int, default=0)
+            p.add_argument("--dump-mesh", action="store_true")
+            p.add_argument("--dump-supermesh", action="store_true")
+            p.add_argument("--dump-noise", action="store_true")
     return parser
 
 

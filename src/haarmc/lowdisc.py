@@ -35,9 +35,8 @@ PURPOSE_SHIFT = 1  # digital-shift masks for one randomization
 PURPOSE_NOISE = 2  # per-sample white-noise draws
 
 
-def _load_direction_numbers(max_dim: int, source=None):
-    """Parse a `d s a m_i` table (the bundled Joe-Kuo file unless `source`
-    names another) into direction integers.
+def _load_direction_numbers(max_dim: int):
+    """Parse the bundled Joe-Kuo `d s a m_i` table into direction integers.
 
     Returns an array of shape (_BITS, max_dim) of uint64; column j holds the
     direction integers of dimension j+1 (dimension 1 is the trivial van der
@@ -45,8 +44,7 @@ def _load_direction_numbers(max_dim: int, source=None):
     """
     V = np.zeros((_BITS, max_dim), dtype=np.uint64)
     V[:, 0] = [1 << (_BITS - i) for i in range(1, _BITS + 1)]
-    if source is None:
-        source = resources.files("haarmc").joinpath("data/joe-kuo-d6-1120.txt")
+    source = resources.files("haarmc").joinpath("data/joe-kuo-d6-1120.txt")
     with source.open() as f:
         header = f.readline()
         if header.split()[:1] != ["d"]:

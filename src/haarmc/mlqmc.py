@@ -82,12 +82,25 @@ def qmc_run(sampler: LevelSampler, eps: float, theta: float = 0.5, M: int = DEFA
     attached) if N = 2**MAX_QMC_DOUBLINGS still misses the budget
     (1-theta)*eps^2.
     """
-    if eps <= 0 or not (0.0 < theta < 1.0) or M < 2:
-        raise ValueError("need eps > 0, 0 < theta < 1 and M >= 2")
+    _check_run([sampler], eps, theta, M)
     state = MLQMCState(eps, theta, M)
     _extend_and_double([sampler], [], state)
     state.converged = True
     return state.estimate(), state
+
+
+def _check_run(samplers, eps, theta, M=2, L_min=1, L_max=None) -> int:
+    """The drivers' one argument check, made before anything is drawn
+    (mlmc_run, which has no shifts, leaves M at 2). Returns L_max capped
+    at the number of samplers."""
+    if not samplers:
+        raise ValueError("no samplers")
+    if not (eps > 0 and 0.0 < theta < 1.0 and M >= 2):
+        raise ValueError("need eps > 0, 0 < theta < 1 and M >= 2")
+    L_max = len(samplers) if L_max is None else min(L_max, len(samplers))
+    if L_min > L_max:
+        raise ValueError("L_min exceeds L_max")
+    return L_max
 
 
 def mlmc_optimal_allocation(V: Sequence[float], C: Sequence[float], eps: float, theta: float):
@@ -155,10 +168,6 @@ class MLQMCState:
     means: List[float] = field(default_factory=list)
     trace: List[tuple] = field(default_factory=list)
     converged: bool = False
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.N)
 
     def estimate(self) -> float:
         return float(sum(self.means))
@@ -247,15 +256,7 @@ def mlqmc_run(
     variance_rule(level, N) overrides the empirical per-level estimator
     variance; used to make driver traces deterministic in tests.
     """
-    if not samplers:
-        raise ValueError("no samplers")
-    if eps <= 0 or not (0.0 < theta < 1.0) or M < 2:
-        raise ValueError("need eps > 0, 0 < theta < 1 and M >= 2")
-    if L_max is None:
-        L_max = len(samplers)
-    L_max = min(L_max, len(samplers))
-    if L_min > L_max:
-        raise ValueError("L_min exceeds L_max")
+    L_max = _check_run(samplers, eps, theta, M, L_min, L_max)
     state = MLQMCState(eps, theta, M)
     accums: List[_LevelAccum] = []
     while True:
@@ -305,11 +306,7 @@ def mlmc_run(
     ConvergenceFailure (with the state of the samples drawn attached) if
     more than L_max levels would be needed.
     """
-    if not samplers:
-        raise ValueError("no samplers")
-    if L_max is None:
-        L_max = len(samplers)
-    L_max = min(L_max, len(samplers))
+    L_max = _check_run(samplers, eps, theta, L_min=L_min, L_max=L_max)
     state = MLQMCState(eps, theta, 1)
     accums: List[_MCAccum] = []
     targets: List[int] = []
@@ -319,7 +316,7 @@ def mlmc_run(
         targets.append(N_init)
         state.trace.append(("extend", len(accums) - 1))
 
-    for _ in range(min(L_min, L_max)):
+    for _ in range(L_min):
         add_level()
     while True:
         for ell, acc in enumerate(accums):
@@ -358,7 +355,6 @@ class DiagnosticsReport:
     levels: List[int]
     N: int
     M: int
-    mean_P: List[float]  # cumulative telescoped E[P_level]
     mean_Y: List[float]
     var_Y: List[float]  # per-sample variance, pooled over all M*N draws
     cost: List[float]
@@ -382,11 +378,10 @@ def screening_run(samplers: Sequence[LevelSampler], N_screen: int, M: int) -> Di
         var_Y.append(float(ys.var(ddof=1)))
         cost.append(s.cost)
     levels = [s.level for s in samplers]
-    mean_P = list(np.cumsum(mean_Y))
     alpha = fit_rate(levels[1:], np.abs(mean_Y[1:]))
     beta = fit_rate(levels[1:], var_Y[1:])
     gamma = -fit_rate(levels, cost)
-    return DiagnosticsReport(levels, N_screen, M, mean_P, mean_Y, var_Y, cost, alpha, beta, gamma)
+    return DiagnosticsReport(levels, N_screen, M, mean_Y, var_Y, cost, alpha, beta, gamma)
 
 
 def nvar_diagnostic(samplers: Sequence[LevelSampler], N_list: Sequence[int], M: int):

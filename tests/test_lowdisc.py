@@ -6,6 +6,7 @@ seeds so the suite stays deterministic.
 """
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -312,14 +313,15 @@ def test_hybrid_pipeline_moments():
     assert np.max(np.abs(z.var(axis=0, ddof=1) - 1.0)) < var_tol
 
 
-def test_direction_table_rejects_bad_header(tmp_path):
-    good = tmp_path / "good.txt"
-    good.write_text("d       s       a       m_i\n2       1       0       1\n")
-    np.testing.assert_array_equal(
-        lowdisc._load_direction_numbers(2, good), lowdisc._load_direction_numbers(2)
-    )
+def test_direction_table_rejects_bad_header(tmp_path, monkeypatch):
+    bundled = lowdisc._load_direction_numbers(2)
+    # the loader reads data/joe-kuo-d6-1120.txt under tmp_path instead
+    table = tmp_path / "data" / "joe-kuo-d6-1120.txt"
+    table.parent.mkdir()
+    monkeypatch.setattr(lowdisc, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    table.write_text("d       s       a       m_i\n2       1       0       1\n")
+    np.testing.assert_array_equal(lowdisc._load_direction_numbers(2), bundled)
     for header in ("s d a m_i\n", "\n"):
-        bad = tmp_path / "bad.txt"
-        bad.write_text(header + "2       1       0       1\n")
+        table.write_text(header + "2       1       0       1\n")
         with pytest.raises(ValueError, match="header"):
-            lowdisc._load_direction_numbers(2, bad)
+            lowdisc._load_direction_numbers(2)

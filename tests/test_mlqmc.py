@@ -209,7 +209,7 @@ def test_screening_synthetic_rates():
     assert rep.levels == [0, 1, 2, 3, 4]
     assert rep.N == 64 and rep.M == 4
     np.testing.assert_allclose(rep.mean_Y, [4.0 ** (-l) for l in range(5)], atol=1e-14)
-    assert rep.mean_P[-1] == pytest.approx(sum(4.0 ** (-l) for l in range(5)), rel=1e-12)
+    assert np.cumsum(rep.mean_Y)[-1] == pytest.approx(sum(4.0 ** (-l) for l in range(5)), rel=1e-12)
     assert rep.alpha == pytest.approx(2.0, abs=1e-10)
     assert rep.beta == pytest.approx(3.0, abs=1e-10)
     assert rep.gamma == pytest.approx(2.0, abs=1e-10)
@@ -291,7 +291,7 @@ def test_greedy_reports_failure_state():
     state = exc.value.state
     assert state is not None
     assert not state.converged
-    assert state.n_levels == 2
+    assert len(state.N) == 2
 
 
 def test_greedy_reports_the_sample_cap(monkeypatch):
@@ -327,6 +327,29 @@ def test_mlmc_run_constant_levels():
     assert state.converged and state.M == 1
     assert est == pytest.approx(sum(c), rel=1e-12)
     assert state.N == [64, 64, 64]
+
+
+def test_mlmc_run_validation():
+    # like mlqmc_run, it rejects bad arguments before drawing a sample
+    calls = []
+
+    def counted(level):
+        def batch(ms, n0, n1):
+            calls.append(level)
+            return np.ones((len(ms), n1 - n0))
+
+        return LevelSampler(level, 1.0, batch)
+
+    s = [counted(0), counted(1)]
+    for kwargs in ({"L_min": 5}, {"L_min": 2, "L_max": 1}):
+        with pytest.raises(ValueError, match="L_min exceeds L_max"):
+            mlmc_run(s, 0.1, **kwargs)
+    for eps, theta in ((-1.0, 0.5), (0.0, 0.5), (0.1, 0.0), (0.1, 1.0)):
+        with pytest.raises(ValueError):
+            mlmc_run(s, eps, theta)
+    with pytest.raises(ValueError):
+        mlmc_run([], 0.1)
+    assert calls == []
 
 
 def test_mlmc_run_reports_failure_state():
