@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .fem import MaternParams
+from .lowdisc import SobolGenerator
 from .mesh import Box, write_mesh
 from .mlqmc import (
     ConvergenceFailure,
@@ -46,6 +47,7 @@ from .problem import (
     sample_noise,
 )
 from .supermesh import write_supermesh_csv
+from .whitenoise import qmc_block_size
 
 
 class ConfigError(ValueError):
@@ -414,8 +416,18 @@ def _samplers(cfg: RunConfig, N: Optional[int] = None, threads: int = 1) -> List
     """The level samplers a command runs on cfg. With N, samples 0..N-1 of
     replicates 0..M-1 are drawn up front in `threads` workers and
     replayed."""
+    use_qmc = cfg.estimator != "mlmc"
+    # the finest Haar level has the largest low-discrepancy block; a layout
+    # of level L holds 2**((L + 1) * dim) coefficients
+    L = cfg.haar_levels[-1]
+    _require(
+        not use_qmc
+        or qmc_block_size(cfg.dim, L, 1 << ((L + 1) * cfg.dim)) <= SobolGenerator.MAX_DIM,
+        "haar_levels",
+        f"level {L} needs more Sobol' dimensions than the {SobolGenerator.MAX_DIM} tabulated",
+    )
     ctxs = _build_contexts(cfg)
-    samplers = make_level_samplers(ctxs, cfg.seed, use_qmc=cfg.estimator != "mlmc")
+    samplers = make_level_samplers(ctxs, cfg.seed, use_qmc=use_qmc)
     if N is None:
         return samplers
     return _replay_samplers(samplers, N, cfg.M, threads, [c.chunk_size for c in ctxs])

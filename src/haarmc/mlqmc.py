@@ -304,7 +304,8 @@ def mlmc_run(
     sample n of level ell is deterministic given the bound seed. Returns
     (estimate, state) with the same state type as mlqmc_run (M = 1); raises
     ConvergenceFailure (with the state of the samples drawn attached) if
-    more than L_max levels would be needed.
+    more than L_max levels would be needed, or if the optimal allocation
+    needs more samples than an int64 holds.
     """
     L_max = _check_run(samplers, eps, theta, L_min=L_min, L_max=L_max)
     state = MLQMCState(eps, theta, 1)
@@ -323,8 +324,14 @@ def mlmc_run(
             if acc.N < targets[ell]:
                 acc.add(samplers[ell].batch(range(1), acc.N, targets[ell])[0])
         V = [a.var() for a in accums]
-        C = [samplers[l].cost for l in range(len(accums))]
-        opt = mlmc_optimal_allocation(V, C, eps, theta)
+        state.N = [a.N for a in accums]
+        state.V = [v / a.N for v, a in zip(V, accums)]
+        state.means = [a.mean() for a in accums]
+        state.cost = [samplers[l].cost for l in range(len(accums))]
+        try:
+            opt = mlmc_optimal_allocation(V, state.cost, eps, theta)
+        except AllocationError as exc:
+            raise ConvergenceFailure(str(exc), state) from exc
         grew = False
         for ell, n_opt in enumerate(opt):
             if n_opt > targets[ell]:
@@ -332,10 +339,6 @@ def mlmc_run(
                 grew = True
         if grew:
             continue
-        state.N = [a.N for a in accums]
-        state.V = [v / a.N for v, a in zip(V, accums)]
-        state.means = [a.mean() for a in accums]
-        state.cost = C
         if _bias_estimate(state.means) > math.sqrt(theta) * eps:
             if len(accums) + 1 > L_max:
                 raise ConvergenceFailure(

@@ -126,7 +126,7 @@ class LevelContext:
             + self.tables.cell_block_size
             + 4 * self.spaces[0].d_mesh.n_vertices
             + sum(s.diffusion.factor_floats for s in self.spaces)
-            # the padded row a product gathers beyond its fixed scratch
+            # the widest row a product gathers beyond its fixed scratch
             + max(op.gather_floats for op in operators)
         )
         # Short chunks cost more per sample (the default 2D config's mesh

@@ -3,10 +3,9 @@
 `SparseOperator` is built once from COO triplets and then applied many
 times: to a vector or to a block of columns, with its own entries or with
 one set of entries per column (matrices that share the pattern). The rows
-are stored as CSR arrays and, for the products, as "sliced ELL" gather
-blocks: rows are grouped by their entry count and each group is padded to
-its widest row, so a product is a gather and an `einsum` reduction per
-block of rows, and a few heavy rows do not pad every row.
+are stored as CSR arrays and, for the products, grouped by their exact
+entry count, so a product is a gather and an `einsum` reduction per block
+of rows of one group, and no row is padded.
 
 Each output entry is summed over its row's entries in CSR order, one entry
 at a time, so a column's result does not depend on how many columns are
@@ -21,35 +20,8 @@ import numpy as np
 
 __all__ = ["SparseOperator"]
 
-# A group's fixed cost (a handful of numpy calls) in padded entries per
-# column: groups are merged while that costs less padding than this.
-_GROUP_COST = 256
 # floats gathered at a time in a product (512 KiB, within a core's L2 cache)
 _BLOCK_FLOATS = 1 << 16
-
-
-def _group_bounds(widths: list, rows: list) -> list:
-    """Split the distinct row widths (ascending) into runs minimising the
-    padded entries plus _GROUP_COST per run; rows[i] rows have widths[i]
-    entries. Returns the index of each run's last width."""
-    best, cut = [0], [0]
-    for end in range(1, len(widths) + 1):
-        # a run of widths start..end-1 pads its rows to widths[end - 1]
-        padded, choice = None, 0
-        n = 0
-        for start in range(end - 1, -1, -1):
-            n += rows[start]
-            cost = best[start] + n * widths[end - 1] + _GROUP_COST
-            if padded is None or cost < padded:
-                padded, choice = cost, start
-        best.append(padded)
-        cut.append(choice)
-    bounds = []
-    end = len(widths)
-    while end > 0:
-        bounds.append(end - 1)
-        end = cut[end]
-    return bounds[::-1]
 
 
 class SparseOperator:
@@ -57,9 +29,9 @@ class SparseOperator:
 
     Built from COO triplets; duplicate (row, col) entries are summed in
     input order. Holds the CSR arrays `indptr`, `indices`, `data`, and per
-    row group the rows, the padded column indices and the padded positions
-    into `data` (padding points past the end). Nothing is mutated after
-    construction, so threads may share one operator.
+    group of rows with one entry count the rows, their column indices and
+    their positions into `data`. Nothing is mutated after construction, so
+    threads may share one operator.
     """
 
     def __init__(self, rows, cols, vals, shape):
@@ -87,24 +59,17 @@ class SparseOperator:
         counts = np.bincount(keys // n_cols, minlength=n_rows)
         np.cumsum(counts, out=self.indptr[1:])
         self.data = np.bincount(np.cumsum(first) - 1, weights=vals[order], minlength=keys.size)
+        # rows by entry count, each count's rows in row order; ends[w] rows
+        # have fewer than w + 1 entries (np.unique would import numpy.ma)
         rows_per_width = np.bincount(counts)
-        widths = np.flatnonzero(rows_per_width)
-        rows_per_width = rows_per_width[widths].tolist()
+        ends = np.cumsum(rows_per_width)
         by_width = np.argsort(counts, kind="stable")
         self._groups = []
-        lo = 0
-        for hi in _group_bounds(widths.tolist(), rows_per_width):
-            width = int(widths[hi])
-            n = sum(rows_per_width[lo : hi + 1])
-            group_rows, by_width = by_width[:n], by_width[n:]
-            lo = hi + 1
-            if width == 0:
-                continue
+        for width in np.flatnonzero(rows_per_width[1:]) + 1:
+            group_rows = by_width[ends[width - 1] : ends[width]]
             pos = self.indptr[group_rows, None] + np.arange(width)
-            pos[pos >= self.indptr[group_rows + 1, None]] = self.nnz
-            self._groups.append((group_rows, np.append(self.indices, 0)[pos], pos))
-        data_ext = np.append(self.data, 0.0)
-        self._own = [data_ext[pos] for _, _, pos in self._groups]
+            self._groups.append((group_rows, self.indices[pos], pos))
+        self._own = [self.data[pos] for _, _, pos in self._groups]
 
     @property
     def nnz(self) -> int:
@@ -113,7 +78,7 @@ class SparseOperator:
     @property
     def gather_floats(self) -> int:
         """Scratch floats per column that a product may need beyond a fixed
-        block of _BLOCK_FLOATS: one padded row of the widest group."""
+        block of _BLOCK_FLOATS: one row of the widest group."""
         return max((cols.shape[1] for _, cols, _ in self._groups), default=0)
 
     def __matmul__(self, x) -> np.ndarray:
@@ -132,20 +97,18 @@ class SparseOperator:
             raise ValueError("operand shape does not match the operator")
         X = x if x.ndim == 2 else x[:, None]
         B = X.shape[1]
-        ext = None
+        entries = None
         if data is not None:
             data = np.asarray(data, dtype=np.float64)
             if data.shape[-1] != self.nnz or (data.ndim == 2 and len(data) != B):
                 raise ValueError("data shape does not match the operator")
-            # the entries as rows, one column per matrix, and a zero row for
-            # the padding
-            ext = np.zeros((self.nnz + 1,) + data.shape[:-1])
-            ext[:-1] = data.T
+            # one row per CSR entry, one column per matrix
+            entries = data.T
         if B == 1:
             # numpy sums a lone column's entries pairwise, not in order
             X = np.repeat(X, 2, axis=1)
-            if ext is not None and ext.ndim == 2:
-                ext = np.repeat(ext, 2, axis=1)
+            if entries is not None and entries.ndim == 2:
+                entries = np.repeat(entries, 2, axis=1)
         X = np.ascontiguousarray(X)
         width = X.shape[1]
         out = np.zeros((self.shape[0], width))
@@ -161,6 +124,6 @@ class SparseOperator:
                 g = scratch[: cols[block].size * width].reshape(cols[block].shape + (width,))
                 # mode "clip" skips the buffered copy that "raise" makes for out=
                 np.take(X, cols[block], axis=0, out=g, mode="clip")
-                v = own[block] if ext is None else ext[pos[block]]
+                v = own[block] if entries is None else entries[pos[block]]
                 out[rows[block]] = np.einsum("nwb,nwb->nb" if v.ndim == 3 else "nw,nwb->nb", v, g)
         return out[:, 0] if x.ndim == 1 else out[:, :B]

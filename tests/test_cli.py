@@ -144,6 +144,31 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, N_list=[])
     assert main(["nvar", "--config", str(cfg)]) == 2
     assert "config error at N_list" in capsys.readouterr().err
+    # a Haar level whose low-discrepancy block exceeds the Sobol' table
+    # (1D levels up to 9, 2D up to 7), rejected before anything is built
+    for command, dim, level, estimator in (
+        ("screen", 1, 10, "mlqmc"),
+        ("nvar", 1, 10, "qmc"),
+        ("estimate", 2, 8, "qmc"),
+    ):
+        cfg = write_config(
+            tmp_path, dim=dim, mesh_levels=[1], haar_levels=[level], estimator=estimator
+        )
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error at haar_levels" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_haar_levels_beyond_the_sobol_table_run_without_qmc(tmp_path):
+    """Only the QMC samplers draw from the Sobol' table: `field` and the
+    `mlmc` estimator run at any Haar level, and the largest 1D level the
+    table covers screens."""
+    cfg = write_config(tmp_path, haar_levels=[10, 10], estimator="mlmc", eps=[0.1], N_init=8)
+    for command in ("field", "estimate"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    cfg = write_config(tmp_path, haar_levels=[9, 9])
+    assert main(["screen", "--config", str(cfg), "--out", str(tmp_path / "screen")]) == 0
 
 
 def test_screen_reruns_are_byte_identical(tmp_path):
@@ -387,6 +412,23 @@ def test_estimate_reports_failure(tmp_path):
         assert float(row[1]) > 0 and float(row[2]) > 0
 
 
+def test_estimate_mlmc_reports_an_unreachable_allocation(tmp_path, capsys):
+    """An mlmc tolerance whose optimal sample counts overflow an int64 ends
+    in a failed row after the rows before it, not in a traceback."""
+    cfg = write_config(
+        tmp_path, mesh_levels=[1, 2, 3], haar_levels=[2, 2, 2], estimator="mlmc",
+        N_init=8, eps=[1e-3, 1e-14],
+    )
+    out = tmp_path / "o"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 3
+    rows = read_rows(out / "estimate.csv")
+    assert len(rows) == 3 and len(rows[1]) == 3
+    assert rows[2][0] == "1e-14" and rows[2][3] == "failed"
+    # the cost and estimate of the samples drawn before the failure
+    assert float(rows[2][1]) > 0 and float(rows[2][2]) > 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("[failed]")
+
+
 def test_estimate_rejects_l_min_above_the_mesh_levels(tmp_path, capsys):
     for estimator in ("mlqmc", "mlmc"):
         cfg = write_config(tmp_path, estimator=estimator, eps=[0.2], L_min=3)
@@ -424,7 +466,8 @@ def declared_script(name):
 def test_cli_import_and_run_load_no_scipy(tmp_path):
     """scipy is the tests' oracle, not a dependency: importing the CLI loads
     no scipy module, and neither does a run unless numpy bundles no
-    OpenBLAS and the banded Cholesky falls back to scipy's LAPACK."""
+    OpenBLAS and the banded Cholesky falls back to scipy's LAPACK. Neither
+    loads numpy.ma, which a run does not need and whose import is slow."""
     cfg = write_config(tmp_path)
     src = str(Path(haarmc.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
@@ -433,10 +476,11 @@ def test_cli_import_and_run_load_no_scipy(tmp_path):
         "import json, sys\n"
         "import haarmc.cli\n"
         "scipy_modules = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "after_import = scipy_modules()\n"
+        "ma_modules = lambda: sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'])\n"
+        "after_import = scipy_modules(), ma_modules()\n"
         "code = haarmc.cli.main(['screen', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
         "fallback = haarmc.fem._openblas_band_routines() is None\n"
-        "print(json.dumps([code, after_import, scipy_modules(), fallback]))\n"
+        "print(json.dumps([code, after_import, scipy_modules(), ma_modules(), fallback]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
@@ -447,10 +491,13 @@ def test_cli_import_and_run_load_no_scipy(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    code, after_import, after_run, fallback = json.loads(proc.stdout.splitlines()[-1])
+    code, after_import, after_run, ma_after_run, fallback = json.loads(
+        proc.stdout.splitlines()[-1]
+    )
     assert code == 0
-    assert after_import == []
+    assert after_import == [[], []]
     assert fallback or after_run == []
+    assert ma_after_run == []
 
 
 def test_console_script(tmp_path):

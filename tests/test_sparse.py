@@ -37,7 +37,24 @@ def test_construction_sums_repeats_like_scipy():
     np.testing.assert_array_equal(A.indices, ref.indices)
     np.testing.assert_allclose(A.data, ref.data, rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(scipy_matrix(A).toarray(), ref.toarray(), rtol=1e-14, atol=1e-14)
-    assert len(A._groups) > 1  # the heavy rows pad a group of their own
+    assert len(A._groups) > 1  # one group per distinct entry count
+
+
+def test_groups_hold_each_nonempty_row_once_unpadded():
+    A = SparseOperator(*_random_operator(np.random.default_rng(3)))
+    counts = np.diff(A.indptr)
+    widths = []
+    for rows, cols, pos in A._groups:
+        width = pos.shape[1]
+        widths.append(width)
+        assert cols.shape == pos.shape == (len(rows), width)
+        np.testing.assert_array_equal(counts[rows], width)
+        np.testing.assert_array_equal(pos, A.indptr[rows, None] + np.arange(width))
+        np.testing.assert_array_equal(cols, A.indices[pos])
+    assert len(set(widths)) == len(widths)
+    grouped = np.sort(np.concatenate([rows for rows, _, _ in A._groups]))
+    np.testing.assert_array_equal(grouped, np.flatnonzero(counts))
+    assert A.gather_floats == counts.max()
 
 
 def test_products_sum_each_row_in_order_whatever_the_batch():
