@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -292,40 +293,118 @@ def _pool_map(fn, items, threads: int):
     The workers are forked after the caller has built everything fn reads,
     so they inherit fn and items instead of receiving them pickled: only
     item numbers go out, and results come back in item order. An exception
-    raised by fn reaches the caller with its own type, a worker that dies
-    raises BrokenProcessPool, and the workers are joined on every path.
-    With one worker, or no `fork` start method on the platform, the map
-    runs serially in this process.
+    raised by fn reaches the caller with its own type (that of the lowest
+    failing item), a worker that dies raises BrokenProcessPool, and the
+    workers are reaped on every path. With one worker, or no `os.fork` on
+    the platform, the map runs serially in this process.
     """
     workers = min(threads, len(items), _usable_cores())
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_start_worker,
-                initargs=(fn, items),
-            ) as pool:
-                return list(pool.map(_run_item, range(len(items))))
-    return [fn(x) for x in items]
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    return _fork_map(fn, items, workers)
 
 
-# (fn, items) of the pool a worker process serves; set only in workers
-_worker_job = None
+_TASK_BYTES = 8  # a task record: the item number, little-endian
 
 
-def _start_worker(fn, items) -> None:
-    global _worker_job
-    _worker_job = (fn, items)
+def _fork_map(fn, items, workers: int):
+    """_pool_map in `workers` forked children. They take item numbers from
+    one shared pipe, and each sends its pickled results back on a pipe of
+    its own once that pipe runs dry."""
+    task_r, task_w = os.pipe()
+    fds = {task_r, task_w}  # this process's open pipe ends
+    children = []  # [pid, result pipe]; pid None once reaped
+    try:
+        for _ in range(workers):
+            out_r, out_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker, which leaves only through os._exit
+                code = 1
+                try:
+                    for fd in fds - {task_r} | {out_r}:
+                        os.close(fd)
+                    _serve(fn, items, task_r, out_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(out_w)
+            fds.add(out_r)
+            children.append([pid, out_r])
+        _close(fds, task_r)
+        # Filled only once the workers read it, so that a task list larger
+        # than the pipe's buffer cannot block this process for good.
+        try:
+            _write_all(task_w, np.arange(len(items), dtype="<u8").tobytes())
+        except BrokenPipeError:
+            pass  # no worker is left to read; reported below
+        _close(fds, task_w)
+        results, errors = [None] * len(items), []
+        for child in children:
+            data = _read_all(child[1])
+            _close(fds, child[1])
+            status = os.waitpid(child[0], 0)[1]
+            child[0] = None
+            if status != 0 or not data:
+                from concurrent.futures.process import BrokenProcessPool
+
+                raise BrokenProcessPool("a worker process ended without its results")
+            got, failed = pickle.loads(data)
+            for k, value in got:
+                results[k] = value
+            errors += failed
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid, _ in children:
+            if pid is not None:  # its results will not be read
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return results
 
 
-def _run_item(k: int):
-    fn, items = _worker_job
-    return fn(items[k])
+def _serve(fn, items, task_fd: int, out_fd: int) -> None:
+    """A worker of _fork_map: run fn on each item number read from task_fd,
+    then write the pickled ([(k, fn(items[k]))], [(k, exception)]) to
+    out_fd."""
+    got, failed = [], []
+    while len(record := _read_exact(task_fd, _TASK_BYTES)) == _TASK_BYTES:
+        k = int.from_bytes(record, "little")
+        try:
+            got.append((k, fn(items[k])))
+        except Exception as exc:  # raised in the parent, lowest item first
+            failed.append((k, exc))
+    _write_all(out_fd, pickle.dumps((got, failed), pickle.HIGHEST_PROTOCOL))
+
+
+def _close(fds: set, fd: int) -> None:
+    fds.remove(fd)
+    os.close(fd)
+
+
+def _read_exact(fd: int, n: int) -> bytes:
+    """n bytes from fd, or fewer at its end; a pipe may return a record in
+    parts."""
+    data = b""
+    while len(data) < n and (part := os.read(fd, n - len(data))):
+        data += part
+    return data
+
+
+def _read_all(fd: int) -> bytes:
+    parts = []
+    while part := os.read(fd, 1 << 20):
+        parts.append(part)
+    return b"".join(parts)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
 
 
 def _replicate_blocks(M: int, N: int, chunk: int):
@@ -420,9 +499,9 @@ def _samplers(cfg: RunConfig, N: Optional[int] = None, threads: int = 1) -> List
     # the finest Haar level has the largest low-discrepancy block; a layout
     # of level L holds 2**((L + 1) * dim) coefficients
     L = cfg.haar_levels[-1]
+    q = qmc_block_size(cfg.dim, L, 1 << ((L + 1) * cfg.dim)) if use_qmc else 0
     _require(
-        not use_qmc
-        or qmc_block_size(cfg.dim, L, 1 << ((L + 1) * cfg.dim)) <= SobolGenerator.MAX_DIM,
+        q <= SobolGenerator.MAX_DIM,
         "haar_levels",
         f"level {L} needs more Sobol' dimensions than the {SobolGenerator.MAX_DIM} tabulated",
     )
@@ -430,6 +509,8 @@ def _samplers(cfg: RunConfig, N: Optional[int] = None, threads: int = 1) -> List
     samplers = make_level_samplers(ctxs, cfg.seed, use_qmc=use_qmc)
     if N is None:
         return samplers
+    if q:
+        SobolGenerator(q)  # parses the Sobol' table once, for the workers to inherit
     return _replay_samplers(samplers, N, cfg.M, threads, [c.chunk_size for c in ctxs])
 
 
@@ -473,10 +554,12 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
             L_max=cfg.L_max,
             N_init=cfg.N_init,
         )
-    rows = []
+    rows, state = [], None
     for eps in cfg.eps:
+        # qmc goes on from the previous eps's samples when eps is no larger
+        carry = {"resume": state} if cfg.estimator == "qmc" else {}
         try:
-            est, state = run(eps, cfg.theta)
+            est, state = run(eps, cfg.theta, **carry)
             rows.append((float(eps), state.total_cost(), est))
         except ConvergenceFailure as exc:
             state = exc.state

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -71,7 +71,13 @@ class LevelSampler:
     batch: Callable[[range, int, int], np.ndarray]
 
 
-def qmc_run(sampler: LevelSampler, eps: float, theta: float = 0.5, M: int = DEFAULT_M):
+def qmc_run(
+    sampler: LevelSampler,
+    eps: float,
+    theta: float = 0.5,
+    M: int = DEFAULT_M,
+    resume: Optional[MLQMCState] = None,
+):
     """Single-level randomized QMC to tolerance eps: mlqmc_run's doubling
     loop on the one level, with no bias extension; each sample is drawn
     once.
@@ -81,10 +87,24 @@ def qmc_run(sampler: LevelSampler, eps: float, theta: float = 0.5, M: int = DEFA
     per-sample cost and the mean; raises ConvergenceFailure (with state
     attached) if N = 2**MAX_QMC_DOUBLINGS still misses the budget
     (1-theta)*eps^2.
+
+    resume is the state of an earlier qmc_run on the same sampler, theta
+    and M, returned or attached to its ConvergenceFailure. If its eps is no
+    smaller than this one, the run goes on from its samples, and passes
+    through the states a fresh run would: N doubles from 1 until the
+    variance meets a budget that only shrinks with eps. Otherwise the run
+    starts afresh.
     """
     _check_run([sampler], eps, theta, M)
+    if resume is not None and (resume.theta, resume.M) != (theta, M):
+        raise ValueError("resume comes from a run with another theta or M")
     state = MLQMCState(eps, theta, M)
-    _extend_and_double([sampler], [], state)
+    if resume is not None and resume.eps >= eps:
+        state.trace = list(resume.trace)
+        state.accums = [replace(a) for a in resume.accums]
+    else:
+        _extend([sampler], state)
+    _double_to_budget([sampler], state)
     state.converged = True
     return state.estimate(), state
 
@@ -168,6 +188,8 @@ class MLQMCState:
     means: List[float] = field(default_factory=list)
     trace: List[tuple] = field(default_factory=list)
     converged: bool = False
+    # the active levels' running sums, which a later run may go on from
+    accums: List[_LevelAccum] = field(default_factory=list, repr=False)
 
     def estimate(self) -> float:
         return float(sum(self.means))
@@ -190,20 +212,27 @@ def _bias_estimate(means: List[float]) -> float:
     return max(yl / (2.0**alpha - 1.0), yl / 2.0)
 
 
-def _extend_and_double(
+def _extend(samplers: Sequence[LevelSampler], state: MLQMCState) -> None:
+    """Activate the next level of samplers at N = 1."""
+    ell = len(state.accums)
+    state.accums.append(_LevelAccum(1, samplers[ell].batch(range(state.M), 0, 1).sum(axis=1)))
+    state.trace.append(("extend", ell))
+
+
+def _double_to_budget(
     samplers: Sequence[LevelSampler],
-    accums: List[_LevelAccum],
     state: MLQMCState,
     variance_rule: Optional[Callable[[int, int], float]] = None,
 ) -> None:
-    """The QMC drivers' one loop: activate the next level of samplers at
-    N = 1, then, while the active levels' variances of the mean sum to
-    more than the budget (1-theta)*eps^2, double N on the level with the
-    largest V/(C*N), adding samples N..2N-1 of every shift to its
-    per-shift sums. state's N, V, means and costs are refreshed after
-    every step. Raises ConvergenceFailure (with state attached) when the
-    level to double already holds 2**MAX_QMC_DOUBLINGS samples.
+    """The QMC drivers' one loop: while the active levels' variances of
+    the mean sum to more than the budget (1-theta)*eps^2, double N on the
+    level with the largest V/(C*N), adding samples N..2N-1 of every shift
+    to its per-shift sums. state's N, V, means and costs are refreshed
+    first and after every step. Raises ConvergenceFailure (with state
+    attached) when the level to double already holds 2**MAX_QMC_DOUBLINGS
+    samples.
     """
+    accums = state.accums
 
     def variance(ell: int) -> float:
         if variance_rule is not None:
@@ -216,9 +245,6 @@ def _extend_and_double(
         state.means = [a.mean() for a in accums]
         state.cost = [samplers[l].cost for l in range(len(accums))]
 
-    ell = len(accums)
-    accums.append(_LevelAccum(1, samplers[ell].batch(range(state.M), 0, 1).sum(axis=1)))
-    state.trace.append(("extend", ell))
     budget = (1.0 - state.theta) * state.eps**2
     refresh()
     while sum(state.V) > budget:
@@ -258,10 +284,10 @@ def mlqmc_run(
     """
     L_max = _check_run(samplers, eps, theta, M, L_min, L_max)
     state = MLQMCState(eps, theta, M)
-    accums: List[_LevelAccum] = []
     while True:
-        _extend_and_double(samplers, accums, state, variance_rule)
-        L = len(accums)
+        _extend(samplers, state)
+        _double_to_budget(samplers, state, variance_rule)
+        L = len(state.accums)
         if not (L < L_min or _bias_estimate(state.means) > math.sqrt(theta) * eps):
             break
         if L + 1 > L_max:

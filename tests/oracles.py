@@ -19,7 +19,15 @@ from scipy.optimize import brentq
 from scipy.special import erfc
 
 from haarmc.fem import _local_arrays
-from haarmc.lowdisc import _BITS, _SCALE, PURPOSE_NOISE, SobolGenerator
+from haarmc.lowdisc import (
+    _BITS,
+    _CENTRAL,
+    _FAR_TAIL,
+    _INTERMEDIATE,
+    _SCALE,
+    PURPOSE_NOISE,
+    SobolGenerator,
+)
 from haarmc.mesh import HaarMesh, SimplicialMesh, cell_volumes, vertex_injection_map
 from haarmc.mlqmc import LevelSampler
 from haarmc.sparse import SparseOperator
@@ -193,8 +201,8 @@ def haar_transform_tables(layout):
 def load_direction_numbers(max_dim: int, source=None):
     """The Joe-Kuo table parsed with the direction recurrence run on numpy
     uint64 scalars, one column entry at a time (the library runs it on
-    Python ints). Returns (_BITS, max_dim) uint64, column j for dimension
-    j+1."""
+    arrays, one row for all dimensions at once). Returns (_BITS, max_dim)
+    uint64, column j for dimension j+1."""
     V = np.zeros((_BITS, max_dim), dtype=np.uint64)
     V[:, 0] = [1 << (_BITS - i) for i in range(1, _BITS + 1)]
     if source is None:
@@ -439,6 +447,43 @@ def normal_inverse(u):
         )
         flat[i] = -root if ui > 0.5 else root
     return out if out.size > 1 else float(out[0])
+
+
+def _rational(coeffs, r):
+    num, den = coeffs
+    p = np.full_like(r, num[-1])
+    q = np.full_like(r, den[-1])
+    for a, b in zip(num[-2::-1], den[-2::-1]):
+        p = p * r + a
+        q = q * r + b
+    return p / q
+
+
+def inverse_normal_cdf_masked(u):
+    """Wichura's AS241 as the library evaluated it before it went in place:
+    each rational on its own values only, picked out by masks, with a new
+    array per Horner step. The library's result must equal it bit for
+    bit."""
+    u = np.asarray(u, dtype=np.float64)
+    scalar = u.ndim == 0
+    u = np.atleast_1d(u)
+    if np.any((u <= 0.0) | (u >= 1.0)):
+        raise ValueError("inverse_normal_cdf requires u in (0, 1)")
+    q = u - 0.5
+    x = np.empty_like(u)
+    mid = np.abs(q) <= 0.425
+    if np.any(mid):
+        qm = q[mid]
+        x[mid] = qm * _rational(_CENTRAL, 0.180625 - qm * qm)
+    tail = ~mid
+    if np.any(tail):
+        r = np.sqrt(-np.log(np.minimum(u[tail], 1.0 - u[tail])))
+        near = r <= 5.0
+        xt = np.empty_like(r)
+        xt[near] = _rational(_INTERMEDIATE, r[near] - 1.6)
+        xt[~near] = _rational(_FAR_TAIL, r[~near] - 5.0)
+        x[tail] = np.where(q[tail] < 0.0, -xt, xt)
+    return x[0] if scalar else x
 
 
 def noise_covariances(tables, layout):

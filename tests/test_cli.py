@@ -266,6 +266,64 @@ def test_pool_map_raises_when_a_worker_dies(monkeypatch):
     assert _pool_map(fn, [0, 1, 2, 3], 1) == [0, 10, 20, 30]
 
 
+def two_cores(monkeypatch):
+    """Two usable cores, so the pool forks workers even on a one-core host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pool_map_hands_out_more_tasks_than_a_pipe_holds(monkeypatch):
+    # 20 000 eight-byte task records are more than a 64 KiB pipe buffer
+    two_cores(monkeypatch)
+    parent = os.getpid()
+    got = _pool_map(lambda x: (x * x, os.getpid() != parent), list(range(20_000)), 2)
+    assert [y for y, _ in got] == [x * x for x in range(20_000)]
+    assert all(in_worker for _, in_worker in got)
+    assert_no_child_left()
+
+
+def test_pool_map_reaps_every_worker(monkeypatch):
+    two_cores(monkeypatch)
+    assert _pool_map(lambda x: 2 * x, [1, 2, 3], 2) == [2, 4, 6]
+    assert_no_child_left()
+
+    def fn(x):
+        if x == 2:
+            raise KeyError(x)
+        return x
+
+    with pytest.raises(KeyError):
+        _pool_map(fn, [1, 2, 3], 2)
+    assert_no_child_left()
+    # every worker dies, so the parent stops at the first and must still
+    # reap the others
+    parent = os.getpid()
+    with pytest.raises(BrokenProcessPool):
+        _pool_map(lambda x: os.getpid() == parent or os._exit(1), [1, 2, 3], 2)
+    assert_no_child_left()
+
+
+def test_pool_map_raises_the_error_of_the_lowest_failing_item(monkeypatch):
+    two_cores(monkeypatch)
+
+    def fn(x):
+        if x in (11, 17):
+            raise LookupError(f"item {x}")
+        if x in (5, 23):
+            raise ArithmeticError(f"item {x}")
+        return x
+
+    with pytest.raises(ArithmeticError, match="item 5$"):
+        _pool_map(fn, list(range(30)), 2)
+    with pytest.raises(LookupError, match="item 11$"):
+        _pool_map(fn, list(range(6, 30)), 2)
+    assert_no_child_left()
+
+
 def test_pool_map_runs_serially_on_one_usable_core(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     parent = os.getpid()
@@ -398,6 +456,43 @@ def test_estimate_mlqmc_and_qmc(tmp_path):
     assert len(read_rows(out_m / "estimate.csv")) == 2
 
 
+def test_qmc_sweep_draws_each_sample_once(tmp_path, monkeypatch, capsys):
+    """Over a sweep of tightening eps, qmc goes on from the previous eps's
+    samples, and a looser eps starts afresh; the rows and the log equal
+    those of one run per eps."""
+    drawn, costs = [], []
+    make = haarmc.cli.make_level_samplers
+
+    def counting(*args, **kwargs):
+        def count(s):
+            def batch(ms, n0, n1):
+                drawn.append(n1 - n0)
+                return s.batch(ms, n0, n1)
+
+            costs.append(s.cost)
+            return LevelSampler(s.level, s.cost, batch)
+
+        return [count(s) for s in make(*args, **kwargs)]
+
+    monkeypatch.setattr(haarmc.cli, "make_level_samplers", counting)
+    eps = [1e-2, 3e-3, 3e-3, 5e-4, 1e-3]
+    kw = dict(mesh_levels=[1, 2, 3], haar_levels=[3, 3, 3], estimator="qmc", M=4)
+    cfg = write_config(tmp_path, eps=eps, **kw)
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    rows, log = read_rows(tmp_path / "sweep" / "estimate.csv")[1:], capsys.readouterr().out
+    N = [float(r[1]) / (4 * costs[0]) for r in rows]
+    assert N == [1, 2, 2, 16, 4]
+    # samples 0..15 of every shift once, then 0..3 again for the looser eps
+    assert sum(drawn) == 16 + 4
+    drawn.clear()
+    for e, row, line in zip(eps, rows, log.splitlines()):
+        cfg = write_config(tmp_path, "one.json", eps=[e], **kw)
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 0
+        assert read_rows(tmp_path / "one" / "estimate.csv")[1] == row
+        assert capsys.readouterr().out == line + "\n"
+    assert sum(drawn) == sum(N)
+
+
 def test_estimate_reports_failure(tmp_path):
     for estimator in ("mlqmc", "mlmc"):
         cfg = write_config(
@@ -467,7 +562,8 @@ def test_cli_import_and_run_load_no_scipy(tmp_path):
     """scipy is the tests' oracle, not a dependency: importing the CLI loads
     no scipy module, and neither does a run unless numpy bundles no
     OpenBLAS and the banded Cholesky falls back to scipy's LAPACK. Neither
-    loads numpy.ma, which a run does not need and whose import is slow."""
+    loads numpy.ma, which a run does not need and whose import is slow,
+    and a pooled run loads neither multiprocessing nor concurrent.futures."""
     cfg = write_config(tmp_path)
     src = str(Path(haarmc.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
@@ -480,7 +576,13 @@ def test_cli_import_and_run_load_no_scipy(tmp_path):
         "after_import = scipy_modules(), ma_modules()\n"
         "code = haarmc.cli.main(['screen', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
         "fallback = haarmc.fem._openblas_band_routines() is None\n"
-        "print(json.dumps([code, after_import, scipy_modules(), ma_modules(), fallback]))\n"
+        "pooled = haarmc.cli.main(\n"
+        "    ['screen', '--config', sys.argv[1], '--out', sys.argv[2] + '2', '--threads', '2']\n"
+        ")\n"
+        "pool_modules = sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')\n"
+        ")\n"
+        "print(json.dumps([code, after_import, scipy_modules(), ma_modules(), fallback, pooled, pool_modules]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
@@ -491,10 +593,12 @@ def test_cli_import_and_run_load_no_scipy(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    code, after_import, after_run, ma_after_run, fallback = json.loads(
+    code, after_import, after_run, ma_after_run, fallback, pooled, pool_modules = json.loads(
         proc.stdout.splitlines()[-1]
     )
-    assert code == 0
+    assert code == pooled == 0
+    # a --threads 2 run's bare fork workers need neither package
+    assert pool_modules == []
     assert after_import == [[], []]
     assert fallback or after_run == []
     assert ma_after_run == []

@@ -84,12 +84,20 @@ def test_partial_direction_table_matches_full_parse():
 
 
 def test_direction_table_matches_uint64_recurrence():
-    """Every column of the Python-int recurrence equals the one run on
-    numpy uint64 scalars."""
+    """Every column of the recurrence run on arrays equals the one run on
+    numpy uint64 scalars, one entry at a time."""
     full = lowdisc._load_direction_numbers(SobolGenerator.MAX_DIM)
     ref = oracles.load_direction_numbers(SobolGenerator.MAX_DIM)
     assert full.dtype == ref.dtype == np.uint64
     np.testing.assert_array_equal(full, ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 24, 128])
+def test_partial_direction_table_matches_uint64_recurrence(dim):
+    # a partial parse runs the recurrence on fewer degrees than a full one
+    np.testing.assert_array_equal(
+        lowdisc._load_direction_numbers(dim), oracles.load_direction_numbers(dim)
+    )
 
 
 def test_zero_shift_is_identity():
@@ -170,6 +178,28 @@ def test_inverse_normal_relative_accuracy_against_ndtri():
     ref = ndtri(u)
     x = inverse_normal_cdf(u)
     assert np.max(np.abs(x - ref) / np.maximum(np.abs(ref), 1e-300)) < 4e-15
+
+
+def test_inverse_normal_in_place_equals_the_masked_evaluation():
+    """The central rational runs on every value in place and the tails are
+    recomputed; the result is bit-equal to evaluating each rational on its
+    own values only."""
+    q = 128
+    shifts = np.stack(
+        [DigitalShift.from_stream(one_stream(7, 5, m, 0, PURPOSE_SHIFT), q).masks for m in range(4)]
+    )
+    pts = sobol_points(SobolGenerator(q), np.arange(128))
+    # a (512, 128) block of shifted points: four replicates of 128 samples
+    u = safe_uniform(shifted_point(pts[None], DigitalShift(shifts[:, None]))).reshape(512, q)
+    np.testing.assert_array_equal(inverse_normal_cdf(u), oracles.inverse_normal_cdf_masked(u))
+    edges = np.array([2.0**-33, 1.0 - 2.0**-33, 0.075, 0.925, 0.5, 0.0749999999, 0.9250000001])
+    np.testing.assert_array_equal(inverse_normal_cdf(edges), oracles.inverse_normal_cdf_masked(edges))
+    for v in edges:
+        x = inverse_normal_cdf(v)
+        assert np.ndim(x) == 0
+        assert x == oracles.inverse_normal_cdf_masked(v)
+    x = inverse_normal_cdf(np.array([0.3]))
+    assert x.shape == (1,) and x[0] == oracles.inverse_normal_cdf_masked(0.3)
 
 
 def test_inverse_normal_domain():
@@ -311,6 +341,18 @@ def test_hybrid_pipeline_moments():
     var_tol = 4.0 * np.sqrt(2.0 / n)
     assert np.max(np.abs(z.mean(axis=0))) < mean_tol
     assert np.max(np.abs(z.var(axis=0, ddof=1) - 1.0)) < var_tol
+
+
+def test_direction_table_with_degrees_out_of_order(tmp_path, monkeypatch):
+    # the bundled table lists its polynomials by degree; the recurrence,
+    # run one degree group after another, must not depend on that
+    table = tmp_path / "data" / "joe-kuo-d6-1120.txt"
+    table.parent.mkdir()
+    table.write_text("d s a m_i\n2 4 1 1 1 5 3\n3 1 0 1\n4 3 1 1 3 1\n\n5 2 1 1 1\n")
+    monkeypatch.setattr(lowdisc, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    for dim in (3, 5):
+        ref = oracles.load_direction_numbers(dim, source=table)
+        np.testing.assert_array_equal(lowdisc._load_direction_numbers(dim), ref)
 
 
 def test_direction_table_rejects_bad_header(tmp_path, monkeypatch):

@@ -137,6 +137,67 @@ def test_qmc_run_reports_failure_state(monkeypatch):
     assert state.total_cost() == 4 * 4 * 2.5
 
 
+def qmc_outcome(sampler, eps, **kwargs):
+    """((estimate or None, N, V, means, trace, converged), state) of one
+    qmc_run at theta 0.5 and M 4."""
+    try:
+        est, state = qmc_run(sampler, eps, 0.5, M=4, **kwargs)
+    except ConvergenceFailure as exc:
+        est, state = None, exc.state
+    return (est, state.N, state.V, state.means, state.trace, state.converged), state
+
+
+def logged_sampler(s, calls):
+    def batch(ms, n0, n1):
+        calls.append((n0, n1))
+        return s.batch(ms, n0, n1)
+
+    return LevelSampler(s.level, s.cost, batch)
+
+
+def test_qmc_run_resumes_a_looser_run_as_a_fresh_run():
+    s, calls = alternating_sampler(0.75, 2.5), []
+    sampler = logged_sampler(s, calls)
+    # budget 0.5 * 0.2^2 = 0.02: N = 8 gives 1/192; at eps 0.1, N = 16
+    _, loose = qmc_outcome(sampler, 0.2)
+    assert loose.N == [8]
+    calls.clear()
+    got, state = qmc_outcome(sampler, 0.1, resume=loose)
+    fresh, _ = qmc_outcome(s, 0.1)
+    # only the new samples are drawn, and the run is the fresh one
+    assert calls == [(8, 16)]
+    assert got == fresh and state.N == [16]
+    assert state.trace == [("extend", 0)] + [("double", 0)] * 4
+    assert state.total_cost() == 16 * 4 * 2.5
+    assert loose.N == [8] and len(loose.trace) == 4  # resuming left it as it was
+    # an equal eps draws nothing more, a looser one starts afresh
+    calls.clear()
+    assert qmc_outcome(sampler, 0.1, resume=state)[0] == fresh and calls == []
+    assert qmc_outcome(sampler, 0.2, resume=state)[0] == qmc_outcome(s, 0.2)[0]
+    assert calls[0] == (0, 1)
+
+
+def test_qmc_run_resumes_a_failed_run(monkeypatch):
+    monkeypatch.setattr(mlqmc, "MAX_QMC_DOUBLINGS", 2)
+    s, calls = alternating_sampler(0.75, 2.5), []
+    sampler = logged_sampler(s, calls)
+    first, failed = qmc_outcome(sampler, 0.2)
+    assert first[0] is None and failed.N == [4]
+    calls.clear()
+    got, state = qmc_outcome(sampler, 0.1, resume=failed)
+    assert calls == [] and got == qmc_outcome(s, 0.1)[0]
+    assert got[0] is None and state.N == [4] and not state.converged
+
+
+def test_qmc_run_rejects_a_resume_of_another_theta_or_m():
+    s = alternating_sampler(0.75, 2.5)
+    _, state = qmc_run(s, 0.2, 0.5, M=4)
+    with pytest.raises(ValueError):
+        qmc_run(s, 0.1, 0.4, M=4, resume=state)
+    with pytest.raises(ValueError):
+        qmc_run(s, 0.1, 0.5, M=8, resume=state)
+
+
 @pytest.mark.parametrize("eps,theta", [(0.0, 0.5), (-0.1, 0.5), (0.1, 0.0), (0.1, 1.0)])
 def test_qmc_run_validation(eps, theta):
     with pytest.raises(ValueError):
