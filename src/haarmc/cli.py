@@ -294,9 +294,10 @@ def _pool_map(fn, items, threads: int):
     so they inherit fn and items instead of receiving them pickled: only
     item numbers go out, and results come back in item order. An exception
     raised by fn reaches the caller with its own type (that of the lowest
-    failing item), a worker that dies raises BrokenProcessPool, and the
-    workers are reaped on every path. With one worker, or no `os.fork` on
-    the platform, the map runs serially in this process.
+    failing item). A worker that dies, or cannot send its results, raises
+    BrokenProcessPool, with the worker's traceback on stderr where it had
+    one. The workers are reaped on every path. With one worker, or no
+    `os.fork` on the platform, the map runs serially in this process.
     """
     workers = min(threads, len(items), _usable_cores())
     if workers < 2 or not hasattr(os, "fork"):
@@ -325,6 +326,12 @@ def _fork_map(fn, items, workers: int):
                         os.close(fd)
                     _serve(fn, items, task_r, out_w)
                     code = 0
+                except Exception:
+                    # e.g. an unpicklable result; the parent sees only a
+                    # worker without results
+                    import traceback
+
+                    os.write(2, traceback.format_exc().encode())
                 finally:
                     os._exit(code)
             os.close(out_w)

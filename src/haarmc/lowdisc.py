@@ -45,7 +45,6 @@ def _load_direction_numbers(max_dim: int):
     V = np.zeros((_BITS, max_dim), dtype=np.uint64)
     V[:, 0] = [1 << (_BITS - i) for i in range(1, _BITS + 1)]
     source = resources.files("haarmc").joinpath("data/joe-kuo-d6-1120.txt")
-    rows = []
     with source.open() as f:
         header = f.readline()
         if header.split()[:1] != ["d"]:
@@ -54,36 +53,19 @@ def _load_direction_numbers(max_dim: int):
             parts = line.split()
             if not parts:
                 continue
-            if int(parts[0]) > max_dim:
+            d = int(parts[0])
+            if d > max_dim:
                 break
-            rows.append(parts)
-    if not rows:
-        return V
-    # dimensions in order of degree s, so that those the recurrence has
-    # reached at row i are the first n of them
-    rows.sort(key=lambda p: int(p[1]))
-    d, s, a = np.array([p[:3] for p in rows]).astype(np.int64).T
-    # W[i, j] is direction integer i+1 of dimension d[j]: the first s are
-    # m_{i+1} << (_BITS - 1 - i), the rest follow the recurrence of degree s
-    count = np.minimum(s, _BITS)
-    m = np.array([x for p, c in zip(rows, count.tolist()) for x in p[3 : 3 + c]])
-    j = np.repeat(np.arange(len(rows)), count)
-    i = np.arange(j.size) - np.repeat(np.cumsum(count) - count, count)
-    W = np.zeros((_BITS, len(rows)), dtype=np.uint64)
-    W[i, j] = m.astype(np.uint64) << (_BITS - 1 - i).astype(np.uint64)
-    # taps[k - 1, j] is all ones where v_{i-k} enters v_i: k < s and bit
-    # s-1-k of a is set
-    k = np.arange(1, s.max())[:, None]
-    taps = (k < s) & ((a >> np.maximum(s - 1 - k, 0)) & 1 == 1)
-    taps = np.where(taps, ~np.uint64(0), np.uint64(0))
-    for i in range(s[0], _BITS):
-        n = np.searchsorted(s, i, side="right")
-        v = W[i - s[:n], np.arange(n)]
-        v ^= v >> s[:n].astype(np.uint64)
-        for k in range(1, s[n - 1]):
-            v ^= W[i - k, :n] & taps[k - 1, :n]
-        W[i, :n] = v
-    V[:, d - 1] = W
+            s = int(parts[1])
+            a = int(parts[2])
+            col = [int(m) << (_BITS - i) for i, m in enumerate(parts[3 : 3 + s][:_BITS], 1)]
+            for i in range(s, _BITS):
+                v = col[i - s] ^ (col[i - s] >> s)
+                for k in range(1, s):
+                    if (a >> (s - 1 - k)) & 1:
+                        v ^= col[i - k]
+                col.append(v)
+            V[:, d - 1] = col
     return V
 
 

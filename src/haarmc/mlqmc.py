@@ -88,16 +88,15 @@ def qmc_run(
     attached) if N = 2**MAX_QMC_DOUBLINGS still misses the budget
     (1-theta)*eps^2.
 
-    resume is the state of an earlier qmc_run on the same sampler, theta
-    and M, returned or attached to its ConvergenceFailure. If its eps is no
+    resume must be the state of an earlier qmc_run on the same sampler,
+    theta and M (this is not checked), returned or attached to its
+    ConvergenceFailure. If its eps is no
     smaller than this one, the run goes on from its samples, and passes
     through the states a fresh run would: N doubles from 1 until the
     variance meets a budget that only shrinks with eps. Otherwise the run
     starts afresh.
     """
     _check_run([sampler], eps, theta, M)
-    if resume is not None and (resume.theta, resume.M) != (theta, M):
-        raise ValueError("resume comes from a run with another theta or M")
     state = MLQMCState(eps, theta, M)
     if resume is not None and resume.eps >= eps:
         state.trace = list(resume.trace)

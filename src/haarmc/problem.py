@@ -173,11 +173,10 @@ def build_level_contexts(
     return contexts
 
 
-def _shifts(ctx: LevelContext, seed: int, ms) -> DigitalShift:
-    """The digital shifts of replicates ms (a range or an index array), one
-    mask row each; replicate m's is drawn from the stream (seed, position,
-    m, 0, PURPOSE_SHIFT)."""
-    streams = StreamChunk(seed, ctx.position, np.asarray(ms), 0, PURPOSE_SHIFT)
+def _shifts(ctx: LevelContext, seed: int, ms: range) -> DigitalShift:
+    """The digital shifts of replicates ms, one mask row each; replicate m's
+    is drawn from the stream (seed, position, m, 0, PURPOSE_SHIFT)."""
+    streams = StreamChunk(seed, ctx.position, np.arange(ms.start, ms.stop), 0, PURPOSE_SHIFT)
     masks = np.empty((len(ms), ctx.layout.qmc_dim), dtype=np.uint64)
     for k in range(len(ms)):
         streams.select(k)
@@ -185,38 +184,13 @@ def _shifts(ctx: LevelContext, seed: int, ms) -> DigitalShift:
     return DigitalShift(masks)
 
 
-class _ShiftRows:
-    """_shifts of one sampler: each replicate's row is drawn at the first
-    batch that asks for it and kept for the later ones."""
-
-    def __init__(self, ctx: LevelContext, seed: int):
-        self.ctx, self.seed = ctx, seed
-        self.masks = np.empty((0, ctx.layout.qmc_dim), dtype=np.uint64)
-        self.drawn = np.zeros(0, dtype=bool)
-
-    def __call__(self, ms: range) -> DigitalShift:
-        grow = ms.stop - len(self.drawn)
-        if grow > 0:
-            self.masks = np.concatenate([self.masks, np.empty((grow, self.masks.shape[1]), np.uint64)])
-            self.drawn = np.concatenate([self.drawn, np.zeros(grow, dtype=bool)])
-        new = ms.start + np.flatnonzero(~self.drawn[ms.start : ms.stop])
-        if new.size:
-            self.masks[new] = _shifts(self.ctx, self.seed, new).masks
-            self.drawn[new] = True
-        return DigitalShift(self.masks[ms.start : ms.stop])
-
-
-def _draw_inputs(
-    ctx: LevelContext, seed: int, ms: range, n0: int, n1: int, use_qmc: bool, shift_rows=None
-):
+def _draw_inputs(ctx: LevelContext, seed: int, ms: range, n0: int, n1: int, use_qmc: bool):
     """Coefficient and cell-block draws of samples n0..n1-1 of replicates
     ms, yielded as (z, z_cells) for consecutive slices of ctx.chunk_size
     rows of the replicate-major (m, n) grid (the last may be shorter).
 
     Each sample honours the fixed order QMC block, MC wavelet block, cell
     block; without QMC its whole wavelet block comes from its stream.
-    shift_rows(ms) gives the digital shifts of ms (a sampler's _ShiftRows);
-    without it they are drawn afresh.
     """
     B = n1 - n0
     m = np.repeat(np.arange(ms.start, ms.stop), B)
@@ -226,7 +200,7 @@ def _draw_inputs(
     q = lay.qmc_dim if use_qmc else 0
     if q:
         gen = SobolGenerator(q)
-        shifts = _shifts(ctx, seed, ms) if shift_rows is None else shift_rows(ms)
+        shifts = _shifts(ctx, seed, ms)
         # With B <= step the call's points fit a chunk's budget and serve all
         # its chunks; a chunk shorter than B holds each sample index at most
         # once, so evaluating its own rows repeats nothing.
@@ -257,13 +231,13 @@ def _matern_batch(ctx: LevelContext, z: np.ndarray, z_cells: np.ndarray):
     ]
 
 
-def _y_batch(ctx: LevelContext, seed: int, ms: range, n0: int, n1: int, use_qmc: bool, shift_rows):
+def _y_batch(ctx: LevelContext, seed: int, ms: range, n0: int, n1: int, use_qmc: bool):
     """Y of samples n0..n1-1 of replicates ms, (len(ms), n1 - n0): P =
     squared L2 norm of the pressure on the fine space, minus the same on
     the coarse space of a coupled level."""
     out = np.empty(len(ms) * (n1 - n0))
     a = 0
-    for z, zc in _draw_inputs(ctx, seed, ms, n0, n1, use_qmc, shift_rows):
+    for z, zc in _draw_inputs(ctx, seed, ms, n0, n1, use_qmc):
         p = [
             s.diffusion.norm_sq(s.diffusion.solve(u, ctx.params.mean_shift))
             for s, u in zip(ctx.spaces, _matern_batch(ctx, z, zc))
@@ -283,12 +257,10 @@ def make_level_samplers(
 
 
 def _make_sampler(ctx, seed, use_qmc):
-    shift_rows = _ShiftRows(ctx, seed) if use_qmc else None
-
     def batch(ms: range, n0: int, n1: int) -> np.ndarray:
         if not (isinstance(ms, range) and len(ms) and ms.step == 1 and ms.start >= 0):
             raise ValueError("replicates must be a non-empty range m0..m1-1 with m0 >= 0")
-        return _y_batch(ctx, seed, ms, n0, n1, use_qmc, shift_rows)
+        return _y_batch(ctx, seed, ms, n0, n1, use_qmc)
 
     return LevelSampler(ctx.position, ctx.dof_cost, batch)
 

@@ -201,8 +201,8 @@ def haar_transform_tables(layout):
 def load_direction_numbers(max_dim: int, source=None):
     """The Joe-Kuo table parsed with the direction recurrence run on numpy
     uint64 scalars, one column entry at a time (the library runs it on
-    arrays, one row for all dimensions at once). Returns (_BITS, max_dim)
-    uint64, column j for dimension j+1."""
+    Python ints). Returns (_BITS, max_dim) uint64, column j for dimension
+    j+1."""
     V = np.zeros((_BITS, max_dim), dtype=np.uint64)
     V[:, 0] = [1 << (_BITS - i) for i in range(1, _BITS + 1)]
     if source is None:

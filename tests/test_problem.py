@@ -288,54 +288,6 @@ def test_replicate_rows_match_single_replicate_batches(use_qmc, monkeypatch):
         np.testing.assert_array_equal(s.batch(range(1, 3), n0, n1), y[1:3])
 
 
-def test_sampler_draws_each_shift_row_once(monkeypatch):
-    """A sampler keeps the digital shift rows it has drawn: over any ranges
-    of replicates, overlapping or not, each row is drawn once and equals
-    the row drawn from its own stream."""
-    ctx = build_level_contexts(1, [2, 3], [2, 2], PARAMS_1D)[1]
-    seed, q = 5, ctx.layout.qmc_dim
-    ref = np.stack(
-        [
-            DigitalShift.from_stream(RandomStream(seed, ctx.position, m, 0, PURPOSE_SHIFT), q).masks
-            for m in range(10)
-        ]
-    )
-    drawn = []
-    from_stream = DigitalShift.from_stream
-
-    def counted(stream, dim):
-        drawn.append(dim)
-        return from_stream(stream, dim)
-
-    monkeypatch.setattr(DigitalShift, "from_stream", staticmethod(counted))
-    rows, seen = problem._ShiftRows(ctx, seed), set()
-    for ms in (range(2, 5), range(0, 3), range(3, 4), range(1, 8), range(6, 7), range(9, 10)):
-        got = rows(ms).masks
-        assert got.dtype == np.uint64
-        np.testing.assert_array_equal(got, ref[ms.start : ms.stop])
-        seen.update(ms)
-        assert len(drawn) == len(seen)
-
-
-def test_sampler_batches_share_the_kept_shift_rows(monkeypatch):
-    # batches over overlapping replicate ranges give the rows of a fresh
-    # sampler's batches, and draw each shift row once
-    ctx = build_level_contexts(1, [2, 3], [1, 1], PARAMS_1D)[1]
-    calls = [(range(1, 3), 0, 4), (range(0, 4), 2, 6), (range(2, 3), 4, 8)]
-    fresh = [make_level_samplers([ctx], seed=3)[0].batch(*c) for c in calls]
-    drawn = []
-    from_stream = DigitalShift.from_stream
-    monkeypatch.setattr(
-        DigitalShift,
-        "from_stream",
-        staticmethod(lambda stream, dim: drawn.append(dim) or from_stream(stream, dim)),
-    )
-    s = make_level_samplers([ctx], seed=3)[0]
-    for c, y in zip(calls, fresh):
-        np.testing.assert_array_equal(s.batch(*c), y)
-    assert len(drawn) == 4
-
-
 def test_batch_rejects_bad_replicate_ranges():
     ctx = build_level_contexts(1, [2], [1], PARAMS_1D)[0]
     s = make_level_samplers([ctx], seed=1)[0]
