@@ -646,8 +646,38 @@ _COMMANDS = {
 }
 
 
+# mallopt's parameter numbers in glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_MAX = -4
+
+
+def _keep_freed_memory() -> bool:
+    """Make glibc's malloc keep the memory this process frees: serve no
+    allocation from a mapping of its own, which free would unmap, and never
+    trim the top of the heap. A sampler's chunks then reuse the pages that
+    earlier chunks faulted in instead of faulting them in again, and forked
+    workers inherit the policy. True when glibc took both settings; without
+    glibc nothing changes and the result is False."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (ValueError, OSError):
+        return False
+    import ctypes
+
+    # the process's own symbols include libc's; ctypes.util.find_library
+    # would run ldconfig to find it
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 1 on success; the trim threshold is the largest int
+    settings = ((_M_MMAP_MAX, 0), (_M_TRIM_THRESHOLD, 2**31 - 1))
+    return all(mallopt(param, value) == 1 for param, value in settings)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_freed_memory()
     try:
         cfg = load_config(args.config, {"seed": args.seed, "out": args.out})
         if args.threads < 1:

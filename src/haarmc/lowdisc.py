@@ -250,7 +250,7 @@ def _rational(coeffs, r: np.ndarray) -> np.ndarray:
 
 def inverse_normal_cdf(u) -> np.ndarray:
     """Inverse standard normal CDF (Wichura's AS241), accurate to about
-    1e-16 relative; u must lie in (0, 1).
+    1e-16 relative; u must lie in (0, 1), and NaN is rejected too.
 
     The tails are evaluated on min(u, 1 - u) (1 - u is exact in floating
     point for u >= 1/2) and the sign is restored afterwards.
@@ -258,7 +258,7 @@ def inverse_normal_cdf(u) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
-    if np.any((u <= 0.0) | (u >= 1.0)):
+    if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("inverse_normal_cdf requires u in (0, 1)")
     q = u - 0.5
     # the central rational on every value, then the tails again
@@ -266,16 +266,18 @@ def inverse_normal_cdf(u) -> np.ndarray:
     np.subtract(0.180625, r, out=r)
     x = _rational(_CENTRAL, r)
     x *= q
-    tail = np.abs(q) > 0.425
-    if np.any(tail):
-        ut = u[tail]
+    # q and x are new arrays, so their flat views write through
+    q, x = q.reshape(-1), x.reshape(-1)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        ut = np.ravel(u)[tail]
         r = np.sqrt(-np.log(np.minimum(ut, 1.0 - ut)))
-        near = r <= 5.0
-        xt = np.empty_like(r)
-        xt[near] = _rational(_INTERMEDIATE, r[near] - 1.6)
-        xt[~near] = _rational(_FAR_TAIL, r[~near] - 5.0)
-        x[tail] = np.where(q[tail] < 0.0, -xt, xt)
-    return x[0] if scalar else x
+        # the intermediate rational on every tail value, then the far tail again
+        xt = _rational(_INTERMEDIATE, r - 1.6)
+        far = np.flatnonzero(r > 5.0)
+        xt[far] = _rational(_FAR_TAIL, r[far] - 5.0)
+        x[tail] = np.copysign(xt, q[tail])
+    return x[0] if scalar else x.reshape(u.shape)
 
 
 # numpy's SeedSequence hash (pool of four 32-bit words) and PCG64's 128-bit
@@ -428,7 +430,14 @@ class StreamChunk:
         }
 
 
-def normal_vector(stream, k: int) -> np.ndarray:
+def normal_vector(stream, k: int, out=None) -> np.ndarray:
     """k iid standard normals from a stream's generator (a StreamChunk set
-    to one of its streams)."""
-    return stream.generator.standard_normal(k)
+    to one of its streams), written into `out` (a contiguous float64 array
+    of k values) and returned when it is given."""
+    if out is None:
+        return stream.generator.standard_normal(k)
+    if out.shape != (k,):
+        raise ValueError("out must hold k values")
+    # numpy checks a size against out by catching a TypeError, which costs
+    # more than drawing a hundred normals
+    return stream.generator.standard_normal(out=out)

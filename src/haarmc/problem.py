@@ -23,8 +23,7 @@ from .lowdisc import (
     StreamChunk,
     inverse_normal_cdf,
     normal_vector,
-    safe_uniform,
-    shifted_point,
+    shifted_point,  # not called: the benchmark's traced runs wrap problem.shifted_point
     sobol_points,
 )
 from .mesh import Box, HaarMesh, SimplicialMesh, build_hierarchy
@@ -53,8 +52,12 @@ __all__ = [
 # (2.8 MB), but holds at least 24 samples (LevelContext.chunk_size). The
 # chunk, not the call, bounds a call's memory (its traced peak runs 1.4 to
 # 2.3 times a chunk's bytes): 8 replicates of screen-2d's finest level take
-# 4.7 MB, and 39 MB at 4 000 000 floats. Whole levels of the screen
-# benchmark configs sample 10 to 15 % slower than at 4 000 000 floats.
+# 4.7 MB, and 39 MB at 4 000 000 floats. Smaller chunks cost time: under
+# the CLI's allocator policy, per-replicate calls on the default 2D config's
+# mesh levels 3 and 4 (82- and 24-sample chunks, against whole 128-sample
+# replicates at 4 000 000 floats) took 0.101-0.110 against 0.087-0.089 ms
+# and 0.387-0.399 against 0.324-0.327 ms per sample (min of 5, two runs, a
+# 2-vCPU Xeon VM), 14 to 24 % more, and about as much more without it.
 CHUNK_FLOAT_BUDGET = 350_000
 
 
@@ -184,13 +187,34 @@ def _shifts(ctx: LevelContext, seed: int, ms: range) -> DigitalShift:
     return DigitalShift(masks)
 
 
+def _lattice(gen: SobolGenerator, n: np.ndarray) -> np.ndarray:
+    """The 32-bit integers of gen's points n: a point is k / 2^32, so
+    scaling it back is exact."""
+    return (sobol_points(gen, n) * 2.0**32).astype(np.uint64)
+
+
+def _qmc_normals(bits: np.ndarray, masks: np.ndarray, a: int, B: int) -> np.ndarray:
+    """The QMC block of rows a, a + 1, ... of a replicate-major grid of B
+    samples per replicate, from the rows' Sobol' lattice points `bits`
+    (overwritten): each row XORed with its replicate's shift mask, scaled
+    to [0, 1) with 0 nudged to 2^-33 as safe_uniform does, and mapped
+    through the inverse normal CDF."""
+    # the rows of replicate j are rows j * B - a .. (j + 1) * B - a - 1
+    for j in range(a // B, (a + len(bits) - 1) // B + 1):
+        bits[max(0, j * B - a) : (j + 1) * B - a] ^= masks[j]
+    u = np.multiply(bits, 2.0**-32)
+    np.copyto(u, 2.0**-33, where=bits == 0)
+    return inverse_normal_cdf(u)
+
+
 def _draw_inputs(ctx: LevelContext, seed: int, ms: range, n0: int, n1: int, use_qmc: bool):
     """Coefficient and cell-block draws of samples n0..n1-1 of replicates
     ms, yielded as (z, z_cells) for consecutive slices of ctx.chunk_size
     rows of the replicate-major (m, n) grid (the last may be shorter).
 
     Each sample honours the fixed order QMC block, MC wavelet block, cell
-    block; without QMC its whole wavelet block comes from its stream.
+    block; without QMC its whole wavelet block comes from its stream. A
+    chunk's z and z_cells are views of one array with a row per sample.
     """
     B = n1 - n0
     m = np.repeat(np.arange(ms.start, ms.stop), B)
@@ -198,28 +222,29 @@ def _draw_inputs(ctx: LevelContext, seed: int, ms: range, n0: int, n1: int, use_
     lay = ctx.layout
     step = ctx.chunk_size
     q = lay.qmc_dim if use_qmc else 0
+    width = lay.total_dim + ctx.tables.cell_block_size
     if q:
         gen = SobolGenerator(q)
-        shifts = _shifts(ctx, seed, ms)
+        masks = _shifts(ctx, seed, ms).masks
         # With B <= step the call's points fit a chunk's budget and serve all
         # its chunks; a chunk shorter than B holds each sample index at most
         # once, so evaluating its own rows repeats nothing.
-        points = sobol_points(gen, np.arange(n0, n1)) if B <= step else None
+        lattice = _lattice(gen, np.arange(n0, n1)) if B <= step else None
     for a in range(0, m.size, step):
         mc, nc = m[a : a + step], n[a : a + step]
-        z = np.empty((mc.size, lay.total_dim))
-        zc = np.empty((mc.size, ctx.tables.cell_block_size))
+        draws = np.empty((mc.size, width))
         if q:
-            pts = sobol_points(gen, nc) if points is None else points[nc - n0]
-            shift = DigitalShift(shifts.masks[mc - ms.start])
-            z[:, :q] = inverse_normal_cdf(safe_uniform(shifted_point(pts, shift)))
+            # one statement, so that no scratch array of it is held while
+            # the caller works on the chunk
+            draws[:, :q] = _qmc_normals(
+                _lattice(gen, nc) if lattice is None else lattice[nc - n0], masks, a, B
+            )
         streams = StreamChunk(seed, ctx.position, mc, nc, PURPOSE_NOISE)
-        for i in range(mc.size):
+        for i, out in enumerate(draws[:, q:]):
             streams.select(i)
-            if q < lay.total_dim:
-                z[i, q:] = normal_vector(streams, lay.total_dim - q)
-            zc[i] = normal_vector(streams, zc.shape[1])
-        yield z, zc.reshape(mc.size, ctx.tables.n_cells, ctx.tables.dim + 1)
+            normal_vector(streams, width - q, out=out)
+        z_cells = draws[:, lay.total_dim :].reshape(mc.size, ctx.tables.n_cells, ctx.tables.dim + 1)
+        yield draws[:, : lay.total_dim], z_cells
 
 
 def _matern_batch(ctx: LevelContext, z: np.ndarray, z_cells: np.ndarray):

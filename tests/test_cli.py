@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import haarmc
-from haarmc import fem, mlqmc
+from haarmc import cli, fem, mlqmc
 from haarmc.cli import (
     ConfigError,
     _pool_map,
@@ -612,6 +612,68 @@ def test_cli_import_and_run_load_no_scipy(tmp_path):
     assert after_import == [[], []]
     assert fallback or after_run == []
     assert ma_after_run == []
+
+
+def has_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not has_glibc(), reason="the CLI's allocator policy is glibc's")
+def test_cli_keeps_freed_memory_for_the_next_batch(tmp_path):
+    """After cli.main, a repeated batch call reuses the pages its first call
+    faulted in: without the allocator policy each call of this one faults
+    1 500 to 2 100 pages in again. A second cli.main leaves the policy as
+    it was."""
+    cfg = write_config(tmp_path)
+    src = str(Path(haarmc.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
+    script = (
+        "import json, resource, sys\n"
+        "import haarmc.cli\n"
+        "from haarmc.problem import build_level_contexts, make_level_samplers\n"
+        "params = haarmc.cli._matern_params(haarmc.cli.RunConfig(dim=1))\n"
+        "ctx = build_level_contexts(1, [2, 3], [6, 6], params)[1]\n"
+        "batch = make_level_samplers([ctx], 0)[0].batch\n"
+        "def faults():\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    batch(range(0, 16), 0, 32)\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "runs = []\n"
+        "for k in range(2):\n"
+        "    code = haarmc.cli.main(['screen', '--config', sys.argv[1], '--out', sys.argv[2] + str(k)])\n"
+        "    runs.append([code, faults(), faults()])\n"
+        "print(json.dumps(runs))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for code, first, second in json.loads(proc.stdout.splitlines()[-1]):
+        assert code == 0
+        assert second < 50, (first, second)
+
+
+def test_cli_allocator_policy_needs_glibc(monkeypatch):
+    import ctypes
+
+    def no_glibc(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    def no_load(*args):
+        raise AssertionError("the policy loaded a library")
+
+    monkeypatch.setattr(os, "confstr", no_glibc)
+    monkeypatch.setattr(ctypes, "CDLL", no_load)
+    assert cli._keep_freed_memory() is False
 
 
 def test_console_script(tmp_path):

@@ -185,6 +185,10 @@ def test_inverse_normal_in_place_equals_the_masked_evaluation():
     u = safe_uniform(shifted_point(pts[None], DigitalShift(shifts[:, None]))).reshape(512, q)
     np.testing.assert_array_equal(inverse_normal_cdf(u), oracles.inverse_normal_cdf_masked(u))
     edges = np.array([2.0**-33, 1.0 - 2.0**-33, 0.075, 0.925, 0.5, 0.0749999999, 0.9250000001])
+    # both tails, on both sides of the far-tail switch at r = 5
+    tails = np.array([5e-324, 1e-300, 1e-12, 1.3e-11, 1.4e-11, 1e-3, 1 - 1e-3, 1 - 1e-12, 1 - 2.0**-53])
+    for v in (tails, tails[::-1].reshape(3, 3), np.r_[tails, edges, u[0]]):
+        np.testing.assert_array_equal(inverse_normal_cdf(v), oracles.inverse_normal_cdf_masked(v))
     np.testing.assert_array_equal(inverse_normal_cdf(edges), oracles.inverse_normal_cdf_masked(edges))
     for v in edges:
         x = inverse_normal_cdf(v)
@@ -195,13 +199,24 @@ def test_inverse_normal_in_place_equals_the_masked_evaluation():
 
 
 def test_inverse_normal_domain():
-    for bad in (0.0, 1.0, -0.5, 1.5):
+    for bad in (0.0, 1.0, -0.5, 1.5, np.nan, [0.3, np.nan], [[0.5, 0.2], [0.0, 0.7]]):
         with pytest.raises(ValueError):
             inverse_normal_cdf(bad)
 
 
 def test_normal_vector_empty():
     assert normal_vector(one_stream(0), 0).shape == (0,)
+
+
+def test_normal_vector_into_a_buffer():
+    # one row of a buffer, as the sampler draws a sample's blocks
+    buf = np.zeros((3, 12))
+    row = buf[1, 4:]
+    assert normal_vector(one_stream(4, 1, 2, 3), 8, out=row) is row
+    np.testing.assert_array_equal(row, normal_vector(one_stream(4, 1, 2, 3), 8))
+    assert not buf[1, :4].any() and not buf[[0, 2]].any()
+    with pytest.raises(ValueError):
+        normal_vector(one_stream(0), 3, out=buf[:, 0])  # not contiguous
 
 
 def test_stream_determinism_and_paths():
