@@ -278,17 +278,19 @@ def _build_contexts(cfg: RunConfig):
     )
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity where the platform
-    reports one, else the machine's count."""
+def _usable_cores() -> List[int]:
+    """The cores this process may run on, sorted: its CPU affinity where the
+    platform reports one, else all of the machine's."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
 
 
 def _pool_map(fn, items, threads: int):
     """[fn(x) for x in items], run by up to `threads` worker processes, and
-    no more than there are items or usable cores, one item per task.
+    no more than there are items or usable cores, one item per task. Each
+    worker is pinned to a usable core of its own; this process's affinity
+    does not change.
 
     The workers are forked after the caller has built everything fn reads,
     so they inherit fn and items instead of receiving them pickled: only
@@ -299,29 +301,39 @@ def _pool_map(fn, items, threads: int):
     one. The workers are reaped on every path. With one worker, or no
     `os.fork` on the platform, the map runs serially in this process.
     """
-    workers = min(threads, len(items), _usable_cores())
-    if workers < 2 or not hasattr(os, "fork"):
+    cores = _usable_cores()[: min(threads, len(items))]
+    if len(cores) < 2 or not hasattr(os, "fork"):
         return [fn(x) for x in items]
-    return _fork_map(fn, items, workers)
+    return _fork_map(fn, items, cores)
 
 
 _TASK_BYTES = 8  # a task record: the item number, little-endian
 
 
-def _fork_map(fn, items, workers: int):
-    """_pool_map in `workers` forked children. They take item numbers from
-    one shared pipe, and each sends its pickled results back on a pipe of
-    its own once that pipe runs dry."""
+def _fork_map(fn, items, cores: List[int]):
+    """_pool_map in one forked child per core of `cores`. They take item
+    numbers from one shared pipe, and each sends its pickled results back
+    on a pipe of its own once that pipe runs dry.
+
+    Each worker pins itself to its core: Linux leaves a forked child on its
+    parent's core, so unpinned workers can take turns on one core while the
+    others idle. Where the platform has no placement call or refuses it
+    (the core left the process's cpuset, say), the worker runs unpinned."""
     task_r, task_w = os.pipe()
     fds = {task_r, task_w}  # this process's open pipe ends
     children = []  # [pid, result pipe]; pid None once reaped
     try:
-        for _ in range(workers):
+        for core in cores:
             out_r, out_w = os.pipe()
             pid = os.fork()
             if pid == 0:  # the worker, which leaves only through os._exit
                 code = 1
                 try:
+                    if hasattr(os, "sched_setaffinity"):
+                        try:
+                            os.sched_setaffinity(0, {core})
+                        except OSError:
+                            pass
                     for fd in fds - {task_r} | {out_r}:
                         os.close(fd)
                     _serve(fn, items, task_r, out_w)

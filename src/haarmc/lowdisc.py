@@ -20,7 +20,6 @@ __all__ = [
     "StreamChunk",
     "sobol_points",
     "shifted_point",
-    "safe_uniform",
     "inverse_normal_cdf",
     "normal_vector",
     "PURPOSE_SHIFT",
@@ -145,22 +144,14 @@ def shifted_point(point: np.ndarray, shift: DigitalShift) -> np.ndarray:
 
     An exact involution: shifting twice with the same masks returns the
     input. Guarding against a coordinate landing exactly on 0 is left to
-    the consumer (see safe_uniform) so the involution is unconditional.
+    the consumer (problem._qmc_normals nudges it to 2^-33) so the
+    involution is unconditional.
     """
     p = np.asarray(point, dtype=np.float64)
     if p.shape[-1] != shift.dim:
         raise ValueError("point and shift dimensions differ")
     bits = (p * _SCALE).astype(np.uint64)
     return (bits ^ shift.masks).astype(np.float64) / _SCALE
-
-
-def safe_uniform(u: np.ndarray) -> np.ndarray:
-    """Nudge coordinates that are exactly 0 (or 1) by 2^-33 so the inverse
-    normal transform stays finite."""
-    out = np.array(u, dtype=np.float64, copy=True)
-    np.copyto(out, 2.0**-33, where=out == 0.0)
-    np.copyto(out, 1.0 - 2.0**-33, where=out == 1.0)
-    return out
 
 
 # Wichura's AS241 (PPND16, Applied Statistics 37, 1988): rational

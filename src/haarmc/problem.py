@@ -197,7 +197,7 @@ def _qmc_normals(bits: np.ndarray, masks: np.ndarray, a: int, B: int) -> np.ndar
     """The QMC block of rows a, a + 1, ... of a replicate-major grid of B
     samples per replicate, from the rows' Sobol' lattice points `bits`
     (overwritten): each row XORed with its replicate's shift mask, scaled
-    to [0, 1) with 0 nudged to 2^-33 as safe_uniform does, and mapped
+    to [0, 1) with 0 nudged to 2^-33 so that it stays finite, and mapped
     through the inverse normal CDF."""
     # the rows of replicate j are rows j * B - a .. (j + 1) * B - a - 1
     for j in range(a // B, (a + len(bits) - 1) // B + 1):

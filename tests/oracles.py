@@ -449,6 +449,16 @@ def normal_inverse(u):
     return out if out.size > 1 else float(out[0])
 
 
+def safe_uniform(u):
+    """Nudge coordinates that are exactly 0 (or 1) by 2^-33 so the inverse
+    normal transform stays finite: the library does it for 0 on its
+    integer lattice points."""
+    out = np.array(u, dtype=np.float64, copy=True)
+    np.copyto(out, 2.0**-33, where=out == 0.0)
+    np.copyto(out, 1.0 - 2.0**-33, where=out == 1.0)
+    return out
+
+
 def _rational(coeffs, r):
     num, den = coeffs
     p = np.full_like(r, num[-1])

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -347,6 +348,54 @@ def test_pool_map_runs_serially_on_one_usable_core(tmp_path, monkeypatch):
         outs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert outs["2"] == outs["1"]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two usable cores and a placement API",
+)
+def test_pool_map_pins_each_worker_to_its_own_core():
+    before = os.sched_getaffinity(0)
+
+    def fn(x):
+        time.sleep(0.05)  # long enough that both workers take items
+        return os.getpid(), os.sched_getaffinity(0)
+
+    got = dict(_pool_map(fn, list(range(8)), 2))
+    assert len(got) == 2 and os.getpid() not in got
+    for cores in got.values():
+        assert len(cores) == 1 and cores <= before
+    assert len(set.union(*got.values())) == 2
+    assert os.sched_getaffinity(0) == before
+    assert_no_child_left()
+
+
+def test_pool_map_runs_workers_whose_placement_is_refused(monkeypatch, capfd):
+    two_cores(monkeypatch)
+
+    def refuse(pid, cores):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    parent = os.getpid()
+    got = _pool_map(lambda x: (10 * x, os.getpid() != parent), [0, 1, 2, 3], 2)
+    assert got == [(0, True), (10, True), (20, True), (30, True)]
+    assert capfd.readouterr().err == ""
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_map_without_a_placement_api(monkeypatch):
+    parent = os.getpid()
+    fn = lambda x: (10 * x, os.getpid() != parent)  # noqa: E731
+    want = [(0, True), (10, True), (20, True), (30, True)]
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    two_cores(monkeypatch)
+    assert _pool_map(fn, [0, 1, 2, 3], 2) == want
+    # nor a way to read the affinity: every core of the machine is usable
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _pool_map(fn, [0, 1, 2, 3], 2) == want
+    assert_no_child_left()
 
 
 def test_screen_seed_override_changes_rows(tmp_path):

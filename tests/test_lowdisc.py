@@ -22,12 +22,11 @@ from haarmc.lowdisc import (
     StreamChunk,
     inverse_normal_cdf,
     normal_vector,
-    safe_uniform,
     shifted_point,
     sobol_points,
 )
 import oracles
-from oracles import RandomStream, normal_inverse, sobol_gray_recurrence, sobol_point
+from oracles import RandomStream, normal_inverse, safe_uniform, sobol_gray_recurrence, sobol_point
 
 GEN64 = SobolGenerator(64)
 

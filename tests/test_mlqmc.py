@@ -13,7 +13,6 @@ from haarmc.lowdisc import (
     DigitalShift,
     SobolGenerator,
     normal_vector,
-    safe_uniform,
     shifted_point,
     sobol_points,
 )
@@ -33,7 +32,7 @@ from haarmc.mlqmc import (
     write_nvar_csv,
     write_screening_csv,
 )
-from oracles import RandomStream, qmc_estimate
+from oracles import RandomStream, qmc_estimate, safe_uniform
 
 
 def const_sampler(level, value, cost=1.0):

@@ -13,7 +13,6 @@ from haarmc.lowdisc import (
     SobolGenerator,
     inverse_normal_cdf,
     normal_vector,
-    safe_uniform,
     shifted_point,
     sobol_points,
 )
@@ -28,7 +27,7 @@ from haarmc.problem import (
 )
 from haarmc.whitenoise import apply_noise_maps
 import oracles
-from oracles import RandomStream, sample_field_batch
+from oracles import RandomStream, safe_uniform, sample_field_batch
 
 PARAMS_2D = MaternParams.lognormal_matched(2, 0.25)
 PARAMS_1D = MaternParams.lognormal_matched(1, 0.25)

@@ -20,7 +20,6 @@ from haarmc.lowdisc import (
     DigitalShift,
     SobolGenerator,
     inverse_normal_cdf,
-    safe_uniform,
     shifted_point,
     sobol_points,
 )
@@ -35,6 +34,7 @@ from haarmc.whitenoise import (
     qmc_block_size,
 )
 import oracles
+from oracles import safe_uniform
 
 UNIT1 = Box((0.0,), (1.0,))
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
