@@ -13,8 +13,8 @@ import argparse
 import hashlib
 import json
 import math
+import mmap
 import os
-import pickle
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -208,6 +208,8 @@ def validate_config(cfg: RunConfig) -> None:
         _require(cfg.matern.variance > 0, "matern.variance", "must be positive")
     else:
         _require(cfg.matern.sigma is not None, "matern.sigma", "required")
+    # unused when matched to the log-normal, but part of the config hash
+    if cfg.matern.sigma is not None:
         _require(_is_real(cfg.matern.sigma), "matern.sigma", "must be a finite number")
         _require(cfg.matern.sigma >= 0, "matern.sigma", "must be non-negative")
     _require(
@@ -286,122 +288,90 @@ def _usable_cores() -> List[int]:
     return list(range(os.cpu_count() or 1))
 
 
-def _pool_map(fn, items, threads: int):
-    """[fn(x) for x in items], run by up to `threads` worker processes, and
-    no more than there are items or usable cores, one item per task. Each
-    worker is pinned to a usable core of its own; this process's affinity
-    does not change.
-
-    The workers are forked after the caller has built everything fn reads,
-    so they inherit fn and items instead of receiving them pickled: only
-    item numbers go out, and results come back in item order. An exception
-    raised by fn reaches the caller with its own type (that of the lowest
-    failing item). A worker that dies, or cannot send its results, raises
-    BrokenProcessPool, with the worker's traceback on stderr where it had
-    one. The workers are reaped on every path. With one worker, or no
-    `os.fork` on the platform, the map runs serially in this process.
-    """
-    cores = _usable_cores()[: min(threads, len(items))]
-    if len(cores) < 2 or not hasattr(os, "fork"):
-        return [fn(x) for x in items]
-    return _fork_map(fn, items, cores)
+def _shared(shape, dtype) -> np.ndarray:
+    """A zeroed array on an anonymous shared mapping: what a process forked
+    after it was made writes there, this process reads."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
-_TASK_BYTES = 8  # a task record: the item number, little-endian
+_TASK_BYTES = 8  # a task record: the task number, little-endian
 
 
-def _fork_map(fn, items, cores: List[int]):
-    """_pool_map in one forked child per core of `cores`. They take item
-    numbers from one shared pipe, and each sends its pickled results back
-    on a pipe of its own once that pipe runs dry.
+def _pool_run(run, n: int, threads: int) -> None:
+    """run(0), ..., run(n - 1), each of which keeps its results in _shared
+    memory, in up to `threads` worker processes, and no more than there
+    are tasks or usable cores.
 
-    Each worker pins itself to its core: Linux leaves a forked child on its
-    parent's core, so unpinned workers can take turns on one core while the
-    others idle. Where the platform has no placement call or refuses it
-    (the core left the process's cpuset, say), the worker runs unpinned."""
-    task_r, task_w = os.pipe()
-    fds = {task_r, task_w}  # this process's open pipe ends
-    children = []  # [pid, result pipe]; pid None once reaped
-    try:
-        for core in cores:
-            out_r, out_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the worker, which leaves only through os._exit
-                code = 1
-                try:
-                    if hasattr(os, "sched_setaffinity"):
+    The workers are forked after the caller has built everything run
+    reads, so they inherit it. They take task numbers from one shared pipe
+    and mark each task they complete; a worker exits with 0 once the pipe
+    runs dry, and with 1, silently, at the first task that raises. Each
+    worker pins itself to a usable core of its own: Linux leaves a forked
+    child on its parent's core, so unpinned workers can take turns on one
+    core while the others idle. Where the platform has no placement call
+    or refuses it (the core left the process's cpuset, say), the worker
+    runs unpinned; this process's affinity does not change.
+
+    This process then runs every unmarked task, in task order: all of them
+    with one worker or without `os.fork`, a failing one again, so that its
+    exception reaches the caller with its own type (the lowest failing
+    task's), and those a dead worker left, which cost time, not the run.
+    A worker that does not exit with 0 gets one line on stderr. The
+    workers are reaped on every path."""
+    done = _shared((n,), np.uint8)
+    cores = _usable_cores()[: min(threads, n)]
+    if len(cores) > 1 and hasattr(os, "fork"):
+        r, w = os.pipe()
+        pids = []  # the workers not yet reaped
+        with open(r, "rb", buffering=0) as task_r, open(w, "wb", buffering=0) as task_w:
+            try:
+                for core in cores:
+                    pid = os.fork()
+                    if pid == 0:  # a worker, which leaves only through os._exit
+                        code = 1
                         try:
-                            os.sched_setaffinity(0, {core})
-                        except OSError:
-                            pass
-                    for fd in fds - {task_r} | {out_r}:
-                        os.close(fd)
-                    _serve(fn, items, task_r, out_w)
-                    code = 0
-                except Exception:
-                    # e.g. an unpicklable result; the parent sees only a
-                    # worker without results
-                    import traceback
+                            task_w.close()
+                            if hasattr(os, "sched_setaffinity"):
+                                try:
+                                    os.sched_setaffinity(0, {core})
+                                except OSError:
+                                    pass
+                            while len(record := _read_exact(r, _TASK_BYTES)) == _TASK_BYTES:
+                                k = int.from_bytes(record, "little")
+                                run(k)
+                                done[k] = 1
+                            code = 0
+                        finally:
+                            os._exit(code)
+                    pids.append(pid)
+                task_r.close()
+                # Filled only once the workers read it, so that a task list
+                # larger than the pipe's buffer cannot block this process
+                # for good.
+                try:
+                    _write_all(w, np.arange(n, dtype="<u8").tobytes())
+                except BrokenPipeError:
+                    pass  # no worker is left to read; their tasks run below
+                task_w.close()
+                while pids:
+                    code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+                    pid = pids.pop(0)
+                    if code:
+                        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                        print(
+                            f"haarmc: worker {pid} ended ({how}); the parent runs what it left",
+                            file=sys.stderr,
+                        )
+            finally:
+                for pid in pids:  # this process failed before it reaped them
+                    import signal
 
-                    os.write(2, traceback.format_exc().encode())
-                finally:
-                    os._exit(code)
-            os.close(out_w)
-            fds.add(out_r)
-            children.append([pid, out_r])
-        _close(fds, task_r)
-        # Filled only once the workers read it, so that a task list larger
-        # than the pipe's buffer cannot block this process for good.
-        try:
-            _write_all(task_w, np.arange(len(items), dtype="<u8").tobytes())
-        except BrokenPipeError:
-            pass  # no worker is left to read; reported below
-        _close(fds, task_w)
-        results, errors = [None] * len(items), []
-        for child in children:
-            data = _read_all(child[1])
-            _close(fds, child[1])
-            status = os.waitpid(child[0], 0)[1]
-            child[0] = None
-            if status != 0 or not data:
-                from concurrent.futures.process import BrokenProcessPool
-
-                raise BrokenProcessPool("a worker process ended without its results")
-            got, failed = pickle.loads(data)
-            for k, value in got:
-                results[k] = value
-            errors += failed
-    finally:
-        for fd in fds:
-            os.close(fd)
-        for pid, _ in children:
-            if pid is not None:  # its results will not be read
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return results
-
-
-def _serve(fn, items, task_fd: int, out_fd: int) -> None:
-    """A worker of _fork_map: run fn on each item number read from task_fd,
-    then write the pickled ([(k, fn(items[k]))], [(k, exception)]) to
-    out_fd."""
-    got, failed = [], []
-    while len(record := _read_exact(task_fd, _TASK_BYTES)) == _TASK_BYTES:
-        k = int.from_bytes(record, "little")
-        try:
-            got.append((k, fn(items[k])))
-        except Exception as exc:  # raised in the parent, lowest item first
-            failed.append((k, exc))
-    _write_all(out_fd, pickle.dumps((got, failed), pickle.HIGHEST_PROTOCOL))
-
-
-def _close(fds: set, fd: int) -> None:
-    fds.remove(fd)
-    os.close(fd)
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    for k in np.flatnonzero(done == 0):
+        run(int(k))
 
 
 def _read_exact(fd: int, n: int) -> bytes:
@@ -411,13 +381,6 @@ def _read_exact(fd: int, n: int) -> bytes:
     while len(data) < n and (part := os.read(fd, n - len(data))):
         data += part
     return data
-
-
-def _read_all(fd: int) -> bytes:
-    parts = []
-    while part := os.read(fd, 1 << 20):
-        parts.append(part)
-    return b"".join(parts)
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -436,8 +399,8 @@ def _replicate_blocks(M: int, N: int, chunk: int):
 
 def _replay_samplers(samplers, N: int, M: int, threads: int, chunks):
     """Precompute samples 0..N-1 of replicates 0..M-1 of every level in
-    `threads` worker processes, and wrap the results in samplers that
-    replay slices of one (M, N) array per level.
+    `threads` worker processes, straight into one shared (levels, M, N)
+    array, and wrap it in samplers that replay slices of it.
 
     chunks[li] is the samples a chunk of level li holds. A task is one
     batch(ms, 0, N) call over a block of whole replicates that fills about
@@ -447,10 +410,13 @@ def _replay_samplers(samplers, N: int, M: int, threads: int, chunks):
     M, N and chunks, never on the worker count, so --threads does not
     change any call's chunking or the output."""
     tasks = [(li, ms) for li, c in enumerate(chunks) for ms in _replicate_blocks(M, N, c)]
-    results = _pool_map(lambda task: samplers[task[0]].batch(task[1], 0, N), tasks, threads)
-    cache = [np.empty((M, N)) for _ in samplers]
-    for (li, ms), ys in zip(tasks, results):
-        cache[li][ms.start : ms.stop] = ys
+    cache = _shared((len(samplers), M, N), np.float64)
+
+    def run(k):
+        li, ms = tasks[k]
+        cache[li, ms.start : ms.stop] = samplers[li].batch(ms, 0, N)
+
+    _pool_run(run, len(tasks), threads)
 
     def make(li, s):
         return LevelSampler(

@@ -57,9 +57,9 @@ class LevelSampler:
     """One telescoping level: Y = P_level - P_{level-1} (P alone on the
     first level).
 
-    batch(ms, n0, n1) returns the Y values of samples n0..n1-1 under each
-    randomization m of ms, a range of consecutive replicates, as a
-    (len(ms), n1 - n0) array, replicate-major; entry (m, n) must be
+    batch(ms, n0, n1) returns the Y values of samples n0..n1-1 (0 <= n0 < n1)
+    under each randomization m of ms, a range of consecutive replicates, as
+    a (len(ms), n1 - n0) array, replicate-major; entry (m, n) must be
     deterministic given (m, n) and the seed bound at construction, however
     the calls are split. cost is the fixed per-sample cost the drivers
     weigh levels by: for the problem's samplers, the interior dof count

@@ -285,6 +285,8 @@ def _make_sampler(ctx, seed, use_qmc):
     def batch(ms: range, n0: int, n1: int) -> np.ndarray:
         if not (isinstance(ms, range) and len(ms) and ms.step == 1 and ms.start >= 0):
             raise ValueError("replicates must be a non-empty range m0..m1-1 with m0 >= 0")
+        if not (isinstance(n0, int) and isinstance(n1, int) and 0 <= n0 < n1):
+            raise ValueError("samples must be integers n0..n1-1 with 0 <= n0 < n1")
         return _y_batch(ctx, seed, ms, n0, n1, use_qmc)
 
     return LevelSampler(ctx.position, ctx.dof_cost, batch)

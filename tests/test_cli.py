@@ -3,13 +3,12 @@
 import argparse
 import csv
 import json
-import multiprocessing
 import os
+import signal
 import re
 import subprocess
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,8 @@ import haarmc
 from haarmc import cli, fem, mlqmc
 from haarmc.cli import (
     ConfigError,
-    _pool_map,
+    _pool_run,
+    _shared,
     _replay_samplers,
     build_parser,
     config_hash,
@@ -96,6 +96,8 @@ def test_config_round_trip():
         ({"out": 7}, "out"),
         ({"cost_model": "wall"}, "cost_model"),
         ({"synthetic": True}, "synthetic"),
+        ({"matern": {"sigma": "abc"}}, "matern.sigma"),
+        ({"matern": {"sigma": float("nan")}}, "matern.sigma"),
     ],
 )
 def test_config_validation_paths(data, path):
@@ -207,6 +209,28 @@ def test_screen_threads_do_not_change_output(tmp_path):
         assert outs["4"] == outs["1"]
 
 
+def two_cores(monkeypatch):
+    """Two usable cores, so the pool forks workers even on a one-core host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def pool_results(fn, n, threads):
+    """[fn(0), ..., fn(n - 1)] through _pool_run, each a tuple of ints kept in
+    one row of a shared array; fn(0) also runs here first, for the width."""
+    rows = _shared((n, len(fn(0))), np.int64)
+
+    def run(k):
+        rows[k] = fn(k)
+
+    _pool_run(run, n, threads)
+    return [tuple(row) for row in rows.tolist()]
+
+
 def test_replay_draws_blocks_of_whole_replicates_that_fill_a_chunk(monkeypatch):
     N, M = 5, 3
     # a level whose chunk holds all its samples, one whose chunk holds two
@@ -229,7 +253,7 @@ def test_replay_draws_blocks_of_whole_replicates_that_fill_a_chunk(monkeypatch):
     tasks = [(li, ms) for li, bs in enumerate(blocks) for ms in bs]
     # serially, then in forked workers (two usable cores), whose batch calls
     # stay in the workers
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    two_cores(monkeypatch)
     for threads, called in ((1, [(li, ms, 0, N) for li, ms in tasks]), (2, [])):
         calls.clear()
         replay = _replay_samplers(samplers, N, M, threads, chunks)
@@ -237,7 +261,7 @@ def test_replay_draws_blocks_of_whole_replicates_that_fill_a_chunk(monkeypatch):
         for li, r in enumerate(replay):
             np.testing.assert_array_equal(r.batch(range(0, M), 0, N), ys(li, range(0, M), 0, N))
             np.testing.assert_array_equal(r.batch(range(1, 3), 2, 4), ys(li, range(1, 3), 2, 4))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_worker_errors_reach_the_caller(tmp_path, monkeypatch):
@@ -248,97 +272,128 @@ def test_worker_errors_reach_the_caller(tmp_path, monkeypatch):
         args = ["screen", "--config", str(cfg), "--out", str(tmp_path / threads)]
         with pytest.raises(fem.ConvergenceError):
             main(args + ["--threads", threads])
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
-def test_pool_map_raises_when_a_worker_dies(monkeypatch):
-    # two usable cores, so the pool forks workers even on a one-core host
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_screen_survives_a_worker_that_dies(tmp_path, monkeypatch, capfd):
+    two_cores(monkeypatch)
+    parent, marker = os.getpid(), tmp_path / "died"
+    make_level_samplers = cli.make_level_samplers
+
+    def first_worker_dies(batch):
+        def wrapped(ms, n0, n1):
+            if os.getpid() != parent:
+                try:  # only the worker that creates the marker dies
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(1)
+            return batch(ms, n0, n1)
+
+        return wrapped
+
+    def dying_samplers(*args, **kwargs):
+        samplers = make_level_samplers(*args, **kwargs)
+        for s in samplers:
+            s.batch = first_worker_dies(s.batch)
+        return samplers
+
+    monkeypatch.setattr(cli, "make_level_samplers", dying_samplers)
+    cfg = write_config(tmp_path)
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["screen", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
+        outs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert marker.exists()
+    assert outs["2"] == outs["1"]
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("haarmc: worker ") and "exit code 1" in err[0]
+    assert_no_child_left()
+
+
+def test_pool_run_recovers_when_a_worker_dies(monkeypatch, capfd):
+    two_cores(monkeypatch)
     parent = os.getpid()
+    for die, how in (
+        (lambda: os._exit(1), "exit code 1"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {signal.SIGKILL:d}"),
+    ):
 
-    def fn(x):
-        if x == 1 and os.getpid() != parent:
-            os._exit(1)  # as if the worker were killed
-        return 10 * x
+        def fn(k):
+            if k == 1 and os.getpid() != parent:
+                die()  # mid-run, as if the worker were killed
+            return 10 * k, os.getpid() == parent
 
-    with pytest.raises(BrokenProcessPool):
-        _pool_map(fn, [0, 1, 2, 3], 2)
-    assert multiprocessing.active_children() == []
-    assert _pool_map(fn, [0, 1, 2, 3], 1) == [0, 10, 20, 30]
-
-
-def two_cores(monkeypatch):
-    """Two usable cores, so the pool forks workers even on a one-core host."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        got = pool_results(fn, 4, 2)
+        assert [y for y, _ in got] == [0, 10, 20, 30]
+        assert got[1][1] == 1  # the parent ran the dead worker's task
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and how in err[0], err
+        assert_no_child_left()
 
 
 def test_pool_map_hands_out_more_tasks_than_a_pipe_holds(monkeypatch):
     # 20 000 eight-byte task records are more than a 64 KiB pipe buffer
     two_cores(monkeypatch)
     parent = os.getpid()
-    got = _pool_map(lambda x: (x * x, os.getpid() != parent), list(range(20_000)), 2)
-    assert [y for y, _ in got] == [x * x for x in range(20_000)]
-    assert all(in_worker for _, in_worker in got)
+    got = pool_results(lambda k: (k * k, os.getpid() != parent), 20_000, 2)
+    assert got == [(k * k, 1) for k in range(20_000)]
     assert_no_child_left()
 
 
 def test_pool_map_reaps_every_worker(monkeypatch):
     two_cores(monkeypatch)
-    assert _pool_map(lambda x: 2 * x, [1, 2, 3], 2) == [2, 4, 6]
+    assert pool_results(lambda k: (2 * k,), 3, 2) == [(0,), (2,), (4,)]
     assert_no_child_left()
 
-    def fn(x):
-        if x == 2:
-            raise KeyError(x)
-        return x
+    def fn(k):
+        if k == 2:
+            raise KeyError(k)
+        return (k,)
 
     with pytest.raises(KeyError):
-        _pool_map(fn, [1, 2, 3], 2)
+        pool_results(fn, 3, 2)
     assert_no_child_left()
-    # every worker dies, so the parent stops at the first and must still
-    # reap the others
+    # every worker dies, and the parent runs every task
     parent = os.getpid()
-    with pytest.raises(BrokenProcessPool):
-        _pool_map(lambda x: os.getpid() == parent or os._exit(1), [1, 2, 3], 2)
+    assert pool_results(lambda k: (os.getpid() == parent or os._exit(1),), 3, 2) == [(1,)] * 3
+    assert_no_child_left()
+
+    # the parent fails before it reaps the workers, which it then kills
+    def refuse(fd, data):
+        raise RuntimeError("no tasks sent")
+
+    monkeypatch.setattr(cli, "_write_all", refuse)
+    with pytest.raises(RuntimeError, match="no tasks sent"):
+        _pool_run(lambda k: None, 3, 2)
     assert_no_child_left()
 
 
-def test_pool_map_reports_a_result_it_cannot_send(monkeypatch, capfd):
-    # a lambda does not pickle: the worker prints why before it exits
-    two_cores(monkeypatch)
-    with pytest.raises(BrokenProcessPool):
-        _pool_map(lambda x: (lambda: x), [1, 2, 3], 2)
-    assert_no_child_left()
-    err = capfd.readouterr().err
-    assert "Traceback" in err and "pickle" in err
-
-
-def test_pool_map_raises_the_error_of_the_lowest_failing_item(monkeypatch):
+def test_pool_map_raises_the_error_of_the_lowest_failing_item(monkeypatch, capfd):
     two_cores(monkeypatch)
 
-    def fn(x):
-        if x in (11, 17):
-            raise LookupError(f"item {x}")
-        if x in (5, 23):
-            raise ArithmeticError(f"item {x}")
-        return x
+    def fn(k):
+        if k in (11, 17):
+            raise LookupError(f"item {k}")
+        if k in (5, 23):
+            raise ArithmeticError(f"item {k}")
 
     with pytest.raises(ArithmeticError, match="item 5$"):
-        _pool_map(fn, list(range(30)), 2)
+        _pool_run(fn, 30, 2)
     with pytest.raises(LookupError, match="item 11$"):
-        _pool_map(fn, list(range(6, 30)), 2)
+        _pool_run(lambda k: fn(k + 6), 24, 2)
     assert_no_child_left()
+    # a worker stops at its first failing task, without a traceback
+    err = capfd.readouterr().err.splitlines()
+    assert err and all("exit code 1" in line for line in err), err
 
 
 def test_pool_map_runs_serially_on_one_usable_core(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     parent = os.getpid()
-    got = _pool_map(lambda x: (os.getpid(), 10 * x), [0, 1, 2, 3], 4)
+    got = pool_results(lambda k: (os.getpid(), 10 * k), 4, 4)
     assert got == [(parent, 0), (parent, 10), (parent, 20), (parent, 30)]
     cfg = write_config(tmp_path)
     outs = {}
@@ -347,7 +402,7 @@ def test_pool_map_runs_serially_on_one_usable_core(tmp_path, monkeypatch):
         assert main(["screen", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
         outs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert outs["2"] == outs["1"]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.skipif(
@@ -357,15 +412,16 @@ def test_pool_map_runs_serially_on_one_usable_core(tmp_path, monkeypatch):
 def test_pool_map_pins_each_worker_to_its_own_core():
     before = os.sched_getaffinity(0)
 
-    def fn(x):
-        time.sleep(0.05)  # long enough that both workers take items
-        return os.getpid(), os.sched_getaffinity(0)
+    def fn(k):
+        time.sleep(0.05)  # long enough that both workers take tasks
+        cores = os.sched_getaffinity(0)
+        return os.getpid(), len(cores), min(cores)
 
-    got = dict(_pool_map(fn, list(range(8)), 2))
+    got = {pid: (n, core) for pid, n, core in pool_results(fn, 8, 2)}
     assert len(got) == 2 and os.getpid() not in got
-    for cores in got.values():
-        assert len(cores) == 1 and cores <= before
-    assert len(set.union(*got.values())) == 2
+    for n, core in got.values():
+        assert n == 1 and core in before
+    assert len({core for _, core in got.values()}) == 2
     assert os.sched_getaffinity(0) == before
     assert_no_child_left()
 
@@ -378,23 +434,23 @@ def test_pool_map_runs_workers_whose_placement_is_refused(monkeypatch, capfd):
 
     monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
     parent = os.getpid()
-    got = _pool_map(lambda x: (10 * x, os.getpid() != parent), [0, 1, 2, 3], 2)
-    assert got == [(0, True), (10, True), (20, True), (30, True)]
+    got = pool_results(lambda k: (10 * k, os.getpid() != parent), 4, 2)
+    assert got == [(0, 1), (10, 1), (20, 1), (30, 1)]
     assert capfd.readouterr().err == ""
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_pool_map_without_a_placement_api(monkeypatch):
     parent = os.getpid()
-    fn = lambda x: (10 * x, os.getpid() != parent)  # noqa: E731
-    want = [(0, True), (10, True), (20, True), (30, True)]
+    fn = lambda k: (10 * k, os.getpid() != parent)  # noqa: E731
+    want = [(0, 1), (10, 1), (20, 1), (30, 1)]
     monkeypatch.delattr(os, "sched_setaffinity", raising=False)
     two_cores(monkeypatch)
-    assert _pool_map(fn, [0, 1, 2, 3], 2) == want
+    assert pool_results(fn, 4, 2) == want
     # nor a way to read the affinity: every core of the machine is usable
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert _pool_map(fn, [0, 1, 2, 3], 2) == want
+    assert pool_results(fn, 4, 2) == want
     assert_no_child_left()
 
 
@@ -486,7 +542,7 @@ def test_field_draws_in_this_process(tmp_path, monkeypatch):
     def no_pool(*args):
         raise AssertionError("field started a worker pool")
 
-    monkeypatch.setattr(haarmc.cli, "_pool_map", no_pool)
+    monkeypatch.setattr(haarmc.cli, "_pool_run", no_pool)
     cfg = write_config(tmp_path)
     out = tmp_path / "f"
     assert main(["field", "--config", str(cfg), "--out", str(out), "--threads", "2"]) == 0

@@ -293,6 +293,9 @@ def test_batch_rejects_bad_replicate_ranges():
     for ms in (range(0), range(3, 1), range(0, 4, 2), range(-1, 2), 0, [0, 1]):
         with pytest.raises(ValueError):
             s.batch(ms, 0, 2)
+    for n0, n1 in ((-1, 2), (3, 1), (2, 2), (2.0, 4), (0, 2.0)):
+        with pytest.raises(ValueError):
+            s.batch(range(0, 2), n0, n1)
 
 
 def test_contexts_share_one_layout_per_haar_level():
