@@ -15,6 +15,7 @@ import json
 import math
 import mmap
 import os
+import signal
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -24,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .fem import MaternParams
+from .fem import MaternParams, _bundled_openblas
 from .lowdisc import SobolGenerator
 from .mesh import Box, write_mesh
 from .mlqmc import (
@@ -366,8 +367,6 @@ def _pool_run(run, n: int, threads: int) -> None:
                         )
             finally:
                 for pid in pids:  # this process failed before it reaped them
-                    import signal
-
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
     for k in np.flatnonzero(done == 0):
@@ -400,7 +399,7 @@ def _replicate_blocks(M: int, N: int, chunk: int):
 def _replay_samplers(samplers, N: int, M: int, threads: int, chunks):
     """Precompute samples 0..N-1 of replicates 0..M-1 of every level in
     `threads` worker processes, straight into one shared (levels, M, N)
-    array, and wrap it in samplers that replay slices of it.
+    array, and return the samplers _cached over it.
 
     chunks[li] is the samples a chunk of level li holds. A task is one
     batch(ms, 0, N) call over a block of whole replicates that fills about
@@ -417,15 +416,24 @@ def _replay_samplers(samplers, N: int, M: int, threads: int, chunks):
         cache[li, ms.start : ms.stop] = samplers[li].batch(ms, 0, N)
 
     _pool_run(run, len(tasks), threads)
+    return [_cached(s, M, cache[li]) for li, s in enumerate(samplers)]
 
-    def make(li, s):
-        return LevelSampler(
-            level=s.level,
-            cost=s.cost,
-            batch=lambda ms, n0, n1, c=cache[li]: c[ms.start : ms.stop, n0:n1],
-        )
 
-    return [make(li, s) for li, s in enumerate(samplers)]
+def _cached(sampler: LevelSampler, M: int, ys=None) -> LevelSampler:
+    """sampler with Y of replicates 0..M-1 kept, from ys, (M, n), where
+    samples 0..n-1 are drawn already. A request inside the samples held
+    is a slice; one past them draws only the missing samples of every
+    replicate, in one batch call, so a caller asking for aligned blocks
+    gets the values a run without the cache draws (see LevelSampler)."""
+    held = np.empty((M, 0)) if ys is None else ys
+
+    def batch(ms, n0, n1):
+        nonlocal held
+        if n1 > held.shape[1]:
+            held = np.concatenate([held, sampler.batch(range(M), held.shape[1], n1)], axis=1)
+        return held[ms.start : ms.stop, n0:n1]
+
+    return LevelSampler(sampler.level, sampler.cost, batch)
 
 
 # --------------------------------------------------------------------------
@@ -476,10 +484,11 @@ def cmd_field(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _samplers(cfg: RunConfig, N: Optional[int] = None, threads: int = 1) -> List[LevelSampler]:
-    """The level samplers a command runs on cfg. With N, samples 0..N-1 of
-    replicates 0..M-1 are drawn up front in `threads` workers and
-    replayed."""
+def _samplers(cfg: RunConfig, N: int = 0, threads: int = 1) -> List[LevelSampler]:
+    """The level samplers a command runs on cfg, _cached, with samples
+    0..N-1 of replicates 0..M-1 drawn up front in `threads` workers.
+    mlmc's are bare when N is 0: its increments [N_old, N_new) are not
+    aligned blocks (see LevelSampler)."""
     use_qmc = cfg.estimator != "mlmc"
     # the finest Haar level has the largest low-discrepancy block; a layout
     # of level L holds 2**((L + 1) * dim) coefficients
@@ -492,8 +501,8 @@ def _samplers(cfg: RunConfig, N: Optional[int] = None, threads: int = 1) -> List
     )
     ctxs = _build_contexts(cfg)
     samplers = make_level_samplers(ctxs, cfg.seed, use_qmc=use_qmc)
-    if N is None:
-        return samplers
+    if not N:
+        return [_cached(s, cfg.M) for s in samplers] if use_qmc else samplers
     if q:
         SobolGenerator(q)  # parses the Sobol' table once, for the workers to inherit
     return _replay_samplers(samplers, N, cfg.M, threads, [c.chunk_size for c in ctxs])
@@ -539,12 +548,10 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
             L_max=cfg.L_max,
             N_init=cfg.N_init,
         )
-    rows, state = [], None
+    rows = []
     for eps in cfg.eps:
-        # qmc goes on from the previous eps's samples when eps is no larger
-        carry = {"resume": state} if cfg.estimator == "qmc" else {}
         try:
-            est, state = run(eps, cfg.theta, **carry)
+            est, state = run(eps, cfg.theta)
             rows.append((float(eps), state.total_cost(), est))
         except ConvergenceFailure as exc:
             state = exc.state
@@ -653,9 +660,19 @@ def _keep_freed_memory() -> bool:
     return all(mallopt(param, value) == 1 for param, value in settings)
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread. A pool worker pins
+    itself to one core, where a second BLAS thread only takes turns with
+    it. Without that library or its symbol nothing changes."""
+    set_threads = getattr(_bundled_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads(1)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _keep_freed_memory()
+    _one_blas_thread()
     try:
         cfg = load_config(args.config, {"seed": args.seed, "out": args.out})
         if args.threads < 1:

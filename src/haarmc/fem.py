@@ -183,23 +183,33 @@ def embed_interior(x: np.ndarray, mesh: SimplicialMesh) -> np.ndarray:
     return out
 
 
-def _openblas_band_routines():
-    """dpbtrf and dpbtrs of the ILP64 OpenBLAS bundled in numpy's wheels,
-    as ctypes functions, or None when no such library or symbol is found.
-
-    Their Fortran interface takes every integer by reference as 64 bits and
-    ends with the hidden length of the character argument.
-    """
+@functools.lru_cache(maxsize=None)
+def _bundled_openblas():
+    """The ILP64 OpenBLAS bundled in numpy's wheels, the very library numpy
+    runs on, as a ctypes library; None where no such library loads."""
     numpy_dir = Path(np.__file__).resolve().parent
     libs = sorted(numpy_dir.parent.joinpath("numpy.libs").glob("libscipy_openblas64_*"))
     libs += sorted(numpy_dir.joinpath(".dylibs").glob("libscipy_openblas64_*"))
     for path in libs:
         try:
-            lib = ctypes.CDLL(str(path))
-            return lib.scipy_dpbtrf_64_, lib.scipy_dpbtrs_64_
-        except (OSError, AttributeError):
+            return ctypes.CDLL(str(path))
+        except OSError:
             continue
     return None
+
+
+def _openblas_band_routines():
+    """dpbtrf and dpbtrs of _bundled_openblas() as ctypes functions, or None
+    when there is no such library or symbol.
+
+    Their Fortran interface takes every integer by reference as 64 bits and
+    ends with the hidden length of the character argument.
+    """
+    lib = _bundled_openblas()
+    try:
+        return lib.scipy_dpbtrf_64_, lib.scipy_dpbtrs_64_
+    except AttributeError:  # no library, or one without the symbols
+        return None
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -60,10 +60,15 @@ class LevelSampler:
     batch(ms, n0, n1) returns the Y values of samples n0..n1-1 (0 <= n0 < n1)
     under each randomization m of ms, a range of consecutive replicates, as
     a (len(ms), n1 - n0) array, replicate-major; entry (m, n) must be
-    deterministic given (m, n) and the seed bound at construction, however
-    the calls are split. cost is the fixed per-sample cost the drivers
-    weigh levels by: for the problem's samplers, the interior dof count
-    of the systems one sample solves.
+    deterministic given (m, n) and the seed bound at construction. The
+    problem's samplers may change it at rounding level with how the calls
+    are split, from band width 16 up (README, "Reproducibility").
+    cli._cached, which keeps values across runs, is exact all the same:
+    the QMC drivers ask only for the aligned doubling blocks [0, 1),
+    [1, 2), [2, 4), ..., so it draws each in the call a run without it
+    makes. cost is the fixed per-sample cost the drivers weigh levels by:
+    for the problem's samplers, the interior dof count of the systems one
+    sample solves.
     """
 
     level: int
@@ -71,13 +76,7 @@ class LevelSampler:
     batch: Callable[[range, int, int], np.ndarray]
 
 
-def qmc_run(
-    sampler: LevelSampler,
-    eps: float,
-    theta: float = 0.5,
-    M: int = DEFAULT_M,
-    resume: Optional[MLQMCState] = None,
-):
+def qmc_run(sampler: LevelSampler, eps: float, theta: float = 0.5, M: int = DEFAULT_M):
     """Single-level randomized QMC to tolerance eps: mlqmc_run's doubling
     loop on the one level, with no bias extension; each sample is drawn
     once.
@@ -87,23 +86,11 @@ def qmc_run(
     per-sample cost and the mean; raises ConvergenceFailure (with state
     attached) if N = 2**MAX_QMC_DOUBLINGS still misses the budget
     (1-theta)*eps^2.
-
-    resume must be the state of an earlier qmc_run on the same sampler,
-    theta and M (this is not checked), returned or attached to its
-    ConvergenceFailure. If its eps is no
-    smaller than this one, the run goes on from its samples, and passes
-    through the states a fresh run would: N doubles from 1 until the
-    variance meets a budget that only shrinks with eps. Otherwise the run
-    starts afresh.
     """
     _check_run([sampler], eps, theta, M)
-    state = MLQMCState(eps, theta, M)
-    if resume is not None and resume.eps >= eps:
-        state.trace = list(resume.trace)
-        state.accums = [replace(a) for a in resume.accums]
-    else:
-        _extend([sampler], state)
-    _double_to_budget([sampler], state)
+    state, accums = MLQMCState(eps, theta, M), []
+    _extend([sampler], accums, state)
+    _double_to_budget([sampler], accums, state)
     state.converged = True
     return state.estimate(), state
 
@@ -187,8 +174,6 @@ class MLQMCState:
     means: List[float] = field(default_factory=list)
     trace: List[tuple] = field(default_factory=list)
     converged: bool = False
-    # the active levels' running sums, which a later run may go on from
-    accums: List[_LevelAccum] = field(default_factory=list, repr=False)
 
     def estimate(self) -> float:
         return float(sum(self.means))
@@ -211,27 +196,30 @@ def _bias_estimate(means: List[float]) -> float:
     return max(yl / (2.0**alpha - 1.0), yl / 2.0)
 
 
-def _extend(samplers: Sequence[LevelSampler], state: MLQMCState) -> None:
-    """Activate the next level of samplers at N = 1."""
-    ell = len(state.accums)
-    state.accums.append(_LevelAccum(1, samplers[ell].batch(range(state.M), 0, 1).sum(axis=1)))
+def _extend(
+    samplers: Sequence[LevelSampler], accums: List[_LevelAccum], state: MLQMCState
+) -> None:
+    """Activate the next level of samplers at N = 1, appending its sums to
+    accums."""
+    ell = len(accums)
+    accums.append(_LevelAccum(1, samplers[ell].batch(range(state.M), 0, 1).sum(axis=1)))
     state.trace.append(("extend", ell))
 
 
 def _double_to_budget(
     samplers: Sequence[LevelSampler],
+    accums: List[_LevelAccum],
     state: MLQMCState,
     variance_rule: Optional[Callable[[int, int], float]] = None,
 ) -> None:
     """The QMC drivers' one loop: while the active levels' variances of
     the mean sum to more than the budget (1-theta)*eps^2, double N on the
     level with the largest V/(C*N), adding samples N..2N-1 of every shift
-    to its per-shift sums. state's N, V, means and costs are refreshed
-    first and after every step. Raises ConvergenceFailure (with state
-    attached) when the level to double already holds 2**MAX_QMC_DOUBLINGS
-    samples.
+    to its per-shift sums in accums, one per active level. state's N, V,
+    means and costs are refreshed first and after every step. Raises
+    ConvergenceFailure (with state attached) when the level to double
+    already holds 2**MAX_QMC_DOUBLINGS samples.
     """
-    accums = state.accums
 
     def variance(ell: int) -> float:
         if variance_rule is not None:
@@ -282,11 +270,11 @@ def mlqmc_run(
     variance; used to make driver traces deterministic in tests.
     """
     L_max = _check_run(samplers, eps, theta, M, L_min, L_max)
-    state = MLQMCState(eps, theta, M)
+    state, accums = MLQMCState(eps, theta, M), []
     while True:
-        _extend(samplers, state)
-        _double_to_budget(samplers, state, variance_rule)
-        L = len(state.accums)
+        _extend(samplers, accums, state)
+        _double_to_budget(samplers, accums, state, variance_rule)
+        L = len(accums)
         if not (L < L_min or _bias_estimate(state.means) > math.sqrt(theta) * eps):
             break
         if L + 1 > L_max:

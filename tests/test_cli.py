@@ -261,6 +261,13 @@ def test_replay_draws_blocks_of_whole_replicates_that_fill_a_chunk(monkeypatch):
         for li, r in enumerate(replay):
             np.testing.assert_array_equal(r.batch(range(0, M), 0, N), ys(li, range(0, M), 0, N))
             np.testing.assert_array_equal(r.batch(range(1, 3), 2, 4), ys(li, range(1, 3), 2, 4))
+        # past N, one call in this process draws the missing samples of
+        # every replicate, and the next request inside them draws nothing
+        calls.clear()
+        for li, r in enumerate(replay):
+            for ms, n0, n1 in ((range(1, 3), 2, N + 3), (range(0, M), N, N + 1)):
+                np.testing.assert_array_equal(r.batch(ms, n0, n1), ys(li, ms, n0, n1))
+        assert calls == [(li, range(0, M), N, N + 3) for li in range(3)]
     assert_no_child_left()
 
 
@@ -571,17 +578,16 @@ def test_estimate_mlqmc_and_qmc(tmp_path):
     assert len(read_rows(out_m / "estimate.csv")) == 2
 
 
-def test_qmc_sweep_draws_each_sample_once(tmp_path, monkeypatch, capsys):
-    """Over a sweep of tightening eps, qmc goes on from the previous eps's
-    samples, and a looser eps starts afresh; the rows and the log equal
-    those of one run per eps."""
-    drawn, costs = [], []
+def count_draws(monkeypatch):
+    """({level: samples per shift drawn}, [sampler costs]), filled as the
+    CLI's samplers draw."""
+    drawn, costs = {}, []
     make = haarmc.cli.make_level_samplers
 
     def counting(*args, **kwargs):
         def count(s):
             def batch(ms, n0, n1):
-                drawn.append(n1 - n0)
+                drawn[s.level] = drawn.get(s.level, 0) + n1 - n0
                 return s.batch(ms, n0, n1)
 
             costs.append(s.cost)
@@ -590,22 +596,56 @@ def test_qmc_sweep_draws_each_sample_once(tmp_path, monkeypatch, capsys):
         return [count(s) for s in make(*args, **kwargs)]
 
     monkeypatch.setattr(haarmc.cli, "make_level_samplers", counting)
+    return drawn, costs
+
+
+@pytest.mark.parametrize("estimator", ["qmc", "mlqmc"])
+def test_qmc_sweep_draws_each_sample_once(tmp_path, monkeypatch, capsys, estimator):
+    """Over a sweep of eps in any order, the QMC estimators draw each
+    sample of a level once: as many as the largest single-eps run draws
+    there. The rows and the log equal those of one run per eps, failed
+    ones too (mlqmc misses the bias target at 5e-4 within three levels)."""
+    drawn, costs = count_draws(monkeypatch)
     eps = [1e-2, 3e-3, 3e-3, 5e-4, 1e-3]
-    kw = dict(mesh_levels=[1, 2, 3], haar_levels=[3, 3, 3], estimator="qmc", M=4)
+    kw = dict(mesh_levels=[1, 2, 3], haar_levels=[3, 3, 3], estimator=estimator, M=4)
     cfg = write_config(tmp_path, eps=eps, **kw)
-    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    code = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "sweep")])
     rows, log = read_rows(tmp_path / "sweep" / "estimate.csv")[1:], capsys.readouterr().out
-    N = [float(r[1]) / (4 * costs[0]) for r in rows]
-    assert N == [1, 2, 2, 16, 4]
-    # samples 0..15 of every shift once, then 0..3 again for the looser eps
-    assert sum(drawn) == 16 + 4
-    drawn.clear()
+    assert [len(r) > 3 for r in rows] == [False, False, False, estimator == "mlqmc", False]
+    assert code == (3 if estimator == "mlqmc" else 0)
+    sweep, largest = dict(drawn), {}
+    if estimator == "qmc":
+        N = [float(r[1]) / (4 * costs[0]) for r in rows]
+        assert N == [1, 2, 2, 16, 4] and sum(sweep.values()) == 16
     for e, row, line in zip(eps, rows, log.splitlines()):
+        drawn.clear()
         cfg = write_config(tmp_path, "one.json", eps=[e], **kw)
-        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 0
+        code = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "one")])
+        assert code == (3 if len(row) > 3 else 0)
         assert read_rows(tmp_path / "one" / "estimate.csv")[1] == row
         assert capsys.readouterr().out == line + "\n"
-    assert sum(drawn) == sum(N)
+        for level, n in drawn.items():
+            largest[level] = max(largest.get(level, 0), n)
+    assert sweep == largest
+
+
+def test_mlmc_sweep_draws_afresh_for_each_eps(tmp_path, monkeypatch):
+    """mlmc runs uncached: its increments [N_old, N_new) are not aligned
+    blocks, so a cache could serve a sample from a call of another shape
+    than a single-eps run makes. A sweep draws what its runs draw alone."""
+    drawn, _ = count_draws(monkeypatch)
+    kw = dict(mesh_levels=[1, 2, 3], haar_levels=[3, 3, 3], estimator="mlmc", N_init=8)
+    eps = [3e-3, 1e-3, 3e-3]
+    cfg = write_config(tmp_path, eps=eps, **kw)
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    sweep, alone = dict(drawn), {}
+    for e in eps:
+        drawn.clear()
+        cfg = write_config(tmp_path, "one.json", eps=[e], **kw)
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 0
+        for level, n in drawn.items():
+            alone[level] = alone.get(level, 0) + n
+    assert sweep == alone
 
 
 def test_estimate_reports_failure(tmp_path):
@@ -779,6 +819,46 @@ def test_cli_allocator_policy_needs_glibc(monkeypatch):
     monkeypatch.setattr(os, "confstr", no_glibc)
     monkeypatch.setattr(ctypes, "CDLL", no_load)
     assert cli._keep_freed_memory() is False
+
+
+def test_cli_runs_blas_on_one_thread(tmp_path):
+    """Whatever the environment says, cli.main runs numpy's OpenBLAS on one
+    thread, in this process and in the pool's workers: a worker pinned to
+    one core would otherwise take turns with its own BLAS thread there."""
+    lib = fem._bundled_openblas()
+    if getattr(lib, "scipy_openblas_get_num_threads64_", None) is None:
+        pytest.skip("numpy bundles no OpenBLAS that reports its thread count")
+    cfg = write_config(tmp_path)
+    src = str(Path(haarmc.__file__).resolve().parents[1])
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import json, os, sys\n"
+        "import numpy as np\n"
+        "from haarmc import cli, fem\n"
+        "threads = fem._bundled_openblas().scipy_openblas_get_num_threads64_\n"
+        "code = cli.main(['screen', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host\n"
+        "seen = cli._shared((2, 2), np.int64)\n"
+        "def run(k):\n"
+        "    seen[k] = threads(), os.getpid()\n"
+        "cli._pool_run(run, 2, 2)\n"
+        "print(json.dumps([code, threads(), os.getpid(), seen.tolist()]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, parent, pid, seen = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and parent == 1
+    assert [n for n, _ in seen] == [1, 1]
+    assert pid not in [p for _, p in seen]  # both tasks ran in workers
 
 
 def test_console_script(tmp_path):

@@ -17,6 +17,7 @@ from haarmc.lowdisc import (
     sobol_points,
 )
 from haarmc import mlqmc
+from haarmc.cli import _cached
 from haarmc.mlqmc import (
     AllocationError,
     ConvergenceFailure,
@@ -136,56 +137,54 @@ def test_qmc_run_reports_failure_state(monkeypatch):
     assert state.total_cost() == 4 * 4 * 2.5
 
 
-def qmc_outcome(sampler, eps, **kwargs):
-    """((estimate or None, N, V, means, trace, converged), state) of one
-    qmc_run at theta 0.5 and M 4."""
+def qmc_outcome(sampler, eps):
+    """(estimate or None, N, V, means, trace, converged) of one qmc_run at
+    theta 0.5 and M 4."""
     try:
-        est, state = qmc_run(sampler, eps, 0.5, M=4, **kwargs)
+        est, state = qmc_run(sampler, eps, 0.5, M=4)
     except ConvergenceFailure as exc:
         est, state = None, exc.state
-    return (est, state.N, state.V, state.means, state.trace, state.converged), state
+    return est, state.N, state.V, state.means, state.trace, state.converged
 
 
 def logged_sampler(s, calls):
     def batch(ms, n0, n1):
-        calls.append((n0, n1))
+        calls.append((ms, n0, n1))
         return s.batch(ms, n0, n1)
 
     return LevelSampler(s.level, s.cost, batch)
 
 
 def test_qmc_run_resumes_a_looser_run_as_a_fresh_run():
+    """A run on a _cached sampler goes on from the samples earlier runs
+    drew: it is the run without the cache, in any eps order, and draws
+    only the samples no earlier run drew."""
     s, calls = alternating_sampler(0.75, 2.5), []
-    sampler = logged_sampler(s, calls)
+    cached = _cached(logged_sampler(s, calls), 4)
+    fresh = {eps: qmc_outcome(s, eps) for eps in (0.2, 0.1)}
     # budget 0.5 * 0.2^2 = 0.02: N = 8 gives 1/192; at eps 0.1, N = 16
-    _, loose = qmc_outcome(sampler, 0.2)
-    assert loose.N == [8]
+    assert qmc_outcome(cached, 0.2) == fresh[0.2] and fresh[0.2][1] == [8]
+    assert calls == [(range(4), 0, 1), (range(4), 1, 2), (range(4), 2, 4), (range(4), 4, 8)]
     calls.clear()
-    got, state = qmc_outcome(sampler, 0.1, resume=loose)
-    fresh, _ = qmc_outcome(s, 0.1)
-    # only the new samples are drawn, and the run is the fresh one
-    assert calls == [(8, 16)]
-    assert got == fresh and state.N == [16]
-    assert state.trace == [("extend", 0)] + [("double", 0)] * 4
-    assert state.total_cost() == 16 * 4 * 2.5
-    assert loose.N == [8] and len(loose.trace) == 4  # resuming left it as it was
-    # an equal eps draws nothing more, a looser one starts afresh
+    assert qmc_outcome(cached, 0.1) == fresh[0.1] and fresh[0.1][1] == [16]
+    assert calls == [(range(4), 8, 16)]
+    # an equal eps, and a looser one, draw nothing
     calls.clear()
-    assert qmc_outcome(sampler, 0.1, resume=state)[0] == fresh and calls == []
-    assert qmc_outcome(sampler, 0.2, resume=state)[0] == qmc_outcome(s, 0.2)[0]
-    assert calls[0] == (0, 1)
+    assert qmc_outcome(cached, 0.1) == fresh[0.1]
+    assert qmc_outcome(cached, 0.2) == fresh[0.2]
+    assert calls == []
 
 
 def test_qmc_run_resumes_a_failed_run(monkeypatch):
+    """A run that stopped at the sample cap stops there again on the same
+    _cached sampler, drawing nothing."""
     monkeypatch.setattr(mlqmc, "MAX_QMC_DOUBLINGS", 2)
     s, calls = alternating_sampler(0.75, 2.5), []
-    sampler = logged_sampler(s, calls)
-    first, failed = qmc_outcome(sampler, 0.2)
-    assert first[0] is None and failed.N == [4]
+    cached = _cached(logged_sampler(s, calls), 4)
+    failed = qmc_outcome(cached, 0.2)
+    assert failed[0] is None and failed[1] == [4] and not failed[5]
     calls.clear()
-    got, state = qmc_outcome(sampler, 0.1, resume=failed)
-    assert calls == [] and got == qmc_outcome(s, 0.1)[0]
-    assert got[0] is None and state.N == [4] and not state.converged
+    assert qmc_outcome(cached, 0.1) == failed == qmc_outcome(s, 0.1) and calls == []
 
 
 @pytest.mark.parametrize("eps,theta", [(0.0, 0.5), (-0.1, 0.5), (0.1, 0.0), (0.1, 1.0)])
