@@ -406,8 +406,9 @@ def _replay_samplers(samplers, N: int, M: int, threads: int, chunks):
     one chunk (_replicate_blocks): a cheap level is one or a few calls,
     and a costly level, whose chunk holds N samples or fewer, is one call
     per replicate, so all the workers share it. The blocks depend only on
-    M, N and chunks, never on the worker count, so --threads does not
-    change any call's chunking or the output."""
+    M, N and chunks, never on the worker count, so a task fills about one
+    chunk at any --threads; the values would not change with the blocks
+    either (see LevelSampler)."""
     tasks = [(li, ms) for li, c in enumerate(chunks) for ms in _replicate_blocks(M, N, c)]
     cache = _shared((len(samplers), M, N), np.float64)
 
@@ -423,8 +424,9 @@ def _cached(sampler: LevelSampler, M: int, ys=None) -> LevelSampler:
     """sampler with Y of replicates 0..M-1 kept, from ys, (M, n), where
     samples 0..n-1 are drawn already. A request inside the samples held
     is a slice; one past them draws only the missing samples of every
-    replicate, in one batch call, so a caller asking for aligned blocks
-    gets the values a run without the cache draws (see LevelSampler)."""
+    replicate, in one batch call. Y does not depend on how the calls are
+    split (see LevelSampler), so every request gets the values a run
+    without the cache draws."""
     held = np.empty((M, 0)) if ys is None else ys
 
     def batch(ms, n0, n1):
@@ -486,9 +488,9 @@ def cmd_field(cfg: RunConfig, args) -> int:
 
 def _samplers(cfg: RunConfig, N: int = 0, threads: int = 1) -> List[LevelSampler]:
     """The level samplers a command runs on cfg, _cached, with samples
-    0..N-1 of replicates 0..M-1 drawn up front in `threads` workers.
-    mlmc's are bare when N is 0: its increments [N_old, N_new) are not
-    aligned blocks (see LevelSampler)."""
+    0..N-1 of replicates 0..M-1 drawn up front in `threads` workers. With
+    N 0 (estimate), mlmc's cache holds replicate 0 alone, the one it
+    draws."""
     use_qmc = cfg.estimator != "mlmc"
     # the finest Haar level has the largest low-discrepancy block; a layout
     # of level L holds 2**((L + 1) * dim) coefficients
@@ -502,7 +504,7 @@ def _samplers(cfg: RunConfig, N: int = 0, threads: int = 1) -> List[LevelSampler
     ctxs = _build_contexts(cfg)
     samplers = make_level_samplers(ctxs, cfg.seed, use_qmc=use_qmc)
     if not N:
-        return [_cached(s, cfg.M) for s in samplers] if use_qmc else samplers
+        return [_cached(s, cfg.M if use_qmc else 1) for s in samplers]
     if q:
         SobolGenerator(q)  # parses the Sobol' table once, for the workers to inherit
     return _replay_samplers(samplers, N, cfg.M, threads, [c.chunk_size for c in ctxs])

@@ -303,14 +303,21 @@ class _BandCholesky:
     an (n, w + 1) C-order buffer, whose transpose is the Fortran-contiguous
     `ab[w + i - j, j]`. Nothing is mutated after construction, so threads
     may share one instance.
+
+    A factor stacks its matrices as diagonal blocks of one band, with w
+    identity rows (zero right-hand side) before every block and after the
+    last. Every row of a block then meets the same band window, its own
+    block's entries and exact zeros, wherever the block sits: LAPACK's
+    dot products have one length and one content, so a matrix's factor
+    and solutions are bit-equal whichever blocks share its call.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, n: int):
-        self.order = _reverse_cuthill_mckee(indptr, indices, n)
-        rank = np.empty(n, dtype=np.int64)
-        rank[self.order] = np.arange(n)
-        i = rank[np.repeat(np.arange(n), np.diff(indptr))]
-        j = rank[indices]
+        order = _reverse_cuthill_mckee(indptr, indices, n)
+        self.rank = np.empty(n, dtype=np.int64)  # each unknown's place in the order
+        self.rank[order] = np.arange(n)
+        i = self.rank[np.repeat(np.arange(n), np.diff(indptr))]
+        j = self.rank[indices]
         self.w = int(np.max(np.abs(i - j), initial=0))
         self.up = np.flatnonzero(i <= j)
         self.flat = j[self.up] * (self.w + 1) + self.w + i[self.up] - j[self.up]
@@ -321,15 +328,19 @@ class _BandCholesky:
         data are the rows of `data` (B, nnz), or of the one matrix of a
         1-D `data`.
 
-        The matrices are the diagonal blocks of one matrix of order B * n:
-        the blocks do not couple, so its band has the same width and one
-        LAPACK call factors them all. Raises np.linalg.LinAlgError if any
-        of them is not positive definite.
+        The matrices are the diagonal blocks of one padded matrix of order
+        B * (n + w) + w: the blocks do not couple, so its band has the same
+        width and one LAPACK call factors them all. Raises
+        np.linalg.LinAlgError if any of them is not positive definite.
         """
         data = np.atleast_2d(data)
-        ab = np.zeros((len(data), self.n * (self.w + 1)))
-        ab[:, self.flat] = data[:, self.up]
-        c = ab.reshape(-1, self.w + 1).T
+        n, w = self.n, self.w
+        ab = np.zeros((len(data) * (n + w) + w, w + 1))
+        ab[:w, w] = 1.0
+        blocks = ab[w:].reshape(len(data), n + w, w + 1)  # a block, then its pad
+        blocks[:, n:, w] = 1.0
+        blocks.reshape(len(data), -1)[:, self.flat] = data[:, self.up]
+        c = ab.T
         if _band_lapack()[0](c) != 0:
             raise np.linalg.LinAlgError("matrix is not positive definite")
         return c
@@ -337,13 +348,13 @@ class _BandCholesky:
     def solve(self, c: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Solve with a factor from `factor`; b holds the B blocks' right-hand
         sides one after another, as a vector or as matrix columns."""
-        blocks = c.shape[1] // self.n
-        order = (np.arange(blocks)[:, None] * self.n + self.order).ravel()
-        x = np.asfortranarray(b[order])
+        n, w = self.n, self.w
+        k = np.arange((c.shape[1] - w) // (n + w))[:, None]
+        rows = (k * (n + w) + w + self.rank).ravel()  # each entry of b's row in the band
+        x = np.zeros((c.shape[1],) + b.shape[1:], order="F")
+        x[rows] = b
         _band_lapack()[1](c, x)
-        out = np.empty(x.shape)
-        out[order] = x
-        return out
+        return x[rows]
 
 
 def factorized_spd(A: SparseOperator) -> Callable:
@@ -414,8 +425,8 @@ class DiffusionSolver:
         )
         self.load = assemble_load(mesh)[interior]
         self._band = _BandCholesky(self.indptr, self.indices, n)
-        # floats of one sample's share of a stacked band factor
-        self.factor_floats = n * (self._band.w + 1)
+        # floats of one sample's share of a stacked band factor, its pad rows too
+        self.factor_floats = (n + self._band.w) * (self._band.w + 1)
 
     def matrix_data(self, u: np.ndarray, shift: float = 0.0) -> np.ndarray:
         """CSR data of K for each row of nodal values u, shape (B, nnz)."""

@@ -60,15 +60,11 @@ class LevelSampler:
     batch(ms, n0, n1) returns the Y values of samples n0..n1-1 (0 <= n0 < n1)
     under each randomization m of ms, a range of consecutive replicates, as
     a (len(ms), n1 - n0) array, replicate-major; entry (m, n) must be
-    deterministic given (m, n) and the seed bound at construction. The
-    problem's samplers may change it at rounding level with how the calls
-    are split, from band width 16 up (README, "Reproducibility").
-    cli._cached, which keeps values across runs, is exact all the same:
-    the QMC drivers ask only for the aligned doubling blocks [0, 1),
-    [1, 2), [2, 4), ..., so it draws each in the call a run without it
-    makes. cost is the fixed per-sample cost the drivers weigh levels by:
-    for the problem's samplers, the interior dof count of the systems one
-    sample solves.
+    deterministic given (m, n) and the seed bound at construction, however
+    the calls are split, so that cli._cached may keep values across runs.
+    cost is the fixed per-sample cost the drivers weigh levels by: for the
+    problem's samplers, the interior dof count of the systems one sample
+    solves.
     """
 
     level: int
@@ -210,7 +206,6 @@ def _double_to_budget(
     samplers: Sequence[LevelSampler],
     accums: List[_LevelAccum],
     state: MLQMCState,
-    variance_rule: Optional[Callable[[int, int], float]] = None,
 ) -> None:
     """The QMC drivers' one loop: while the active levels' variances of
     the mean sum to more than the budget (1-theta)*eps^2, double N on the
@@ -221,14 +216,9 @@ def _double_to_budget(
     already holds 2**MAX_QMC_DOUBLINGS samples.
     """
 
-    def variance(ell: int) -> float:
-        if variance_rule is not None:
-            return float(variance_rule(ell, accums[ell].N))
-        return accums[ell].variance_of_mean()
-
     def refresh():
         state.N = [a.N for a in accums]
-        state.V = [variance(l) for l in range(len(accums))]
+        state.V = [a.variance_of_mean() for a in accums]
         state.means = [a.mean() for a in accums]
         state.cost = [samplers[l].cost for l in range(len(accums))]
 
@@ -255,7 +245,6 @@ def mlqmc_run(
     L_min: int = 2,
     L_max: Optional[int] = None,
     M: int = DEFAULT_M,
-    variance_rule: Optional[Callable[[int, int], float]] = None,
 ):
     """Greedy adaptive multilevel QMC.
 
@@ -265,15 +254,12 @@ def mlqmc_run(
     Raises ConvergenceFailure (with state attached) if more than len(samplers)
     or L_max levels would be needed, or a level more than
     2**MAX_QMC_DOUBLINGS samples.
-
-    variance_rule(level, N) overrides the empirical per-level estimator
-    variance; used to make driver traces deterministic in tests.
     """
     L_max = _check_run(samplers, eps, theta, M, L_min, L_max)
     state, accums = MLQMCState(eps, theta, M), []
     while True:
         _extend(samplers, accums, state)
-        _double_to_budget(samplers, accums, state, variance_rule)
+        _double_to_budget(samplers, accums, state)
         L = len(accums)
         if not (L < L_min or _bias_estimate(state.means) > math.sqrt(theta) * eps):
             break

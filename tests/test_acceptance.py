@@ -44,7 +44,7 @@ from haarmc.supermesh import build_supermesh, build_three_way_supermesh
 from haarmc.whitenoise import apply_noise_maps, build_layout, build_tables
 import oracles
 from oracles import RandomStream, haar_cell_index, qmc_estimate, sample_field_batch
-from test_mlqmc import _reference_greedy, const_sampler
+from test_mlqmc import _reference_greedy, const_sampler, pin_variance
 
 BIG1 = Box((-1.0,), (1.0,))
 BIG2 = Box((-1.0, -1.0), (1.0, 1.0))
@@ -277,15 +277,15 @@ def test_mlqmc_cost_beats_mlmc():
     assert passes >= 3, f"cost ratios={np.round(ratios, 3)}"
 
 
-def test_greedy_driver_trace_matches_oracle():
+def test_greedy_driver_trace_matches_oracle(monkeypatch):
     """Doubling decisions replayed by an independent simulation."""
     c = [1.0, 0.25, 0.0625, 0.015625]
     V0 = [0.02, 0.005, 0.00125, 0.0003125]
     costs = [1.0, 4.0, 16.0, 64.0]
     samplers = [const_sampler(l, c[l], costs[l]) for l in range(4)]
+    pin_variance(monkeypatch, c, lambda l, N: V0[l] / N**2)
     for eps, theta in ((0.1, 0.5), (0.05, 0.5), (0.08, 0.25)):
-        rule = lambda l, N: V0[l] / N**2
-        est, state = mlqmc_run(samplers, eps, theta=theta, M=4, variance_rule=rule)
+        est, state = mlqmc_run(samplers, eps, theta=theta, M=4)
         ref_trace, ref_N = _reference_greedy(c, V0, costs, eps, theta, 2)
         assert state.trace == ref_trace
         assert state.N == ref_N

@@ -599,20 +599,21 @@ def count_draws(monkeypatch):
     return drawn, costs
 
 
-@pytest.mark.parametrize("estimator", ["qmc", "mlqmc"])
-def test_qmc_sweep_draws_each_sample_once(tmp_path, monkeypatch, capsys, estimator):
-    """Over a sweep of eps in any order, the QMC estimators draw each
-    sample of a level once: as many as the largest single-eps run draws
-    there. The rows and the log equal those of one run per eps, failed
-    ones too (mlqmc misses the bias target at 5e-4 within three levels)."""
+@pytest.mark.parametrize("estimator", ["qmc", "mlqmc", "mlmc"])
+def test_sweep_draws_each_sample_once(tmp_path, monkeypatch, capsys, estimator):
+    """Over a sweep of eps in any order, every estimator draws each sample
+    of a level once: as many as the largest single-eps run draws there.
+    The rows and the log equal those of one run per eps, failed ones too
+    (mlqmc and mlmc miss the bias target at 5e-4 within three levels)."""
     drawn, costs = count_draws(monkeypatch)
     eps = [1e-2, 3e-3, 3e-3, 5e-4, 1e-3]
-    kw = dict(mesh_levels=[1, 2, 3], haar_levels=[3, 3, 3], estimator=estimator, M=4)
+    kw = dict(mesh_levels=[1, 2, 3], haar_levels=[3, 3, 3], estimator=estimator, M=4, N_init=8)
     cfg = write_config(tmp_path, eps=eps, **kw)
     code = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "sweep")])
     rows, log = read_rows(tmp_path / "sweep" / "estimate.csv")[1:], capsys.readouterr().out
-    assert [len(r) > 3 for r in rows] == [False, False, False, estimator == "mlqmc", False]
-    assert code == (3 if estimator == "mlqmc" else 0)
+    multilevel = estimator != "qmc"
+    assert [len(r) > 3 for r in rows] == [False, False, False, multilevel, False]
+    assert code == (3 if multilevel else 0)
     sweep, largest = dict(drawn), {}
     if estimator == "qmc":
         N = [float(r[1]) / (4 * costs[0]) for r in rows]
@@ -627,25 +628,6 @@ def test_qmc_sweep_draws_each_sample_once(tmp_path, monkeypatch, capsys, estimat
         for level, n in drawn.items():
             largest[level] = max(largest.get(level, 0), n)
     assert sweep == largest
-
-
-def test_mlmc_sweep_draws_afresh_for_each_eps(tmp_path, monkeypatch):
-    """mlmc runs uncached: its increments [N_old, N_new) are not aligned
-    blocks, so a cache could serve a sample from a call of another shape
-    than a single-eps run makes. A sweep draws what its runs draw alone."""
-    drawn, _ = count_draws(monkeypatch)
-    kw = dict(mesh_levels=[1, 2, 3], haar_levels=[3, 3, 3], estimator="mlmc", N_init=8)
-    eps = [3e-3, 1e-3, 3e-3]
-    cfg = write_config(tmp_path, eps=eps, **kw)
-    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
-    sweep, alone = dict(drawn), {}
-    for e in eps:
-        drawn.clear()
-        cfg = write_config(tmp_path, "one.json", eps=[e], **kw)
-        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 0
-        for level, n in drawn.items():
-            alone[level] = alone.get(level, 0) + n
-    assert sweep == alone
 
 
 def test_estimate_reports_failure(tmp_path):

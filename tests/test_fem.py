@@ -395,19 +395,17 @@ def test_stacked_diffusion_solve_matches_per_sample_factorizations(dim):
         u = 0.7 * rng.standard_normal((9, g.n_vertices))
         p = solver.solve(u, -0.1)
         data = solver.matrix_data(u, -0.1)
-        c = band.factor(data)
+        c, w = band.factor(data), band.w
+        assert c.shape == (w + 1, len(data) * (n + w) + w)
         for b, row in enumerate(data):
-            np.testing.assert_array_equal(c[:, b * n : (b + 1) * n], band.factor(row))
+            # block b with the pad rows on either side of it, which it
+            # shares with its neighbours, is a lone matrix's padded factor
+            lone = band.factor(row)
+            assert lone.shape == (w + 1, n + 2 * w)
+            np.testing.assert_array_equal(c[:, b * (n + w) : b * (n + w) + n + 2 * w], lone)
             K = sp.csr_matrix((row, solver.indices, solver.indptr), shape=(n, n))
             ref = factorized_spd(oracles.sparse_operator(K))(solver.load)
-            if band.w < 16:
-                np.testing.assert_array_equal(p[b], ref)
-            else:
-                # OpenBLAS's ddot sums the first 16 terms of a longer dot in
-                # SIMD lanes; at a block's first rows the stacked triangular
-                # solve's dots carry leading zeros, so from band width 16 on
-                # (2D mesh level 5) the terms group differently
-                np.testing.assert_allclose(p[b], ref, rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(p[b], ref)
 
 
 def test_stacked_factor_rejects_an_indefinite_matrix_mid_chunk():
@@ -421,12 +419,19 @@ def test_stacked_factor_rejects_an_indefinite_matrix_mid_chunk():
 
 
 def test_diffusion_solver_rows_do_not_depend_on_the_batch():
-    for mesh in (build_uniform_mesh(Box((-0.5,), (0.5,)), 1, 32), build_uniform_mesh(G2, 2, 8)):
+    # the last mesh is the default 2D hierarchy's G mesh at mesh level 5,
+    # band width 31
+    g5 = build_hierarchy(default_g_box(2), default_d_box(2), 2, [5], [3]).levels[0][0]
+    meshes = (build_uniform_mesh(Box((-0.5,), (0.5,)), 1, 32), build_uniform_mesh(G2, 2, 8), g5)
+    for mesh in meshes:
         solver = DiffusionSolver(mesh)
-        u = np.random.default_rng(2).standard_normal((9, mesh.n_vertices))
+        u = 0.7 * np.random.default_rng(2).standard_normal((24, mesh.n_vertices))
         whole = solver.solve(u)
-        split = np.vstack([solver.solve(u[:4]), solver.solve(u[4:])])
+        split = np.vstack([solver.solve(u[:4]), solver.solve(u[4:13]), solver.solve(u[13:])])
         np.testing.assert_array_equal(split, whole)
+        singles = np.vstack([solver.solve(u[i : i + 1]) for i in range(len(u))])
+        np.testing.assert_array_equal(singles, whole)
+    assert solver._band.w == 31
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -42,6 +42,18 @@ def const_sampler(level, value, cost=1.0):
     )
 
 
+def pin_variance(monkeypatch, values, rule):
+    """Make the QMC drivers read rule(l, N) as the variance of the mean of
+    a level at N samples, where l is the index of the value in `values`
+    nearest the level's mean: the level of const_sampler(l, values[l])."""
+
+    def variance_of_mean(self):
+        l = int(np.argmin([abs(v - self.mean()) for v in values]))
+        return float(rule(l, self.N))
+
+    monkeypatch.setattr(mlqmc._LevelAccum, "variance_of_mean", variance_of_mean)
+
+
 def identity_qmc_sampler(seed=0, level=0):
     gen = SobolGenerator(1)
 
@@ -308,13 +320,13 @@ def _reference_greedy(c, V0, costs, eps, theta, L_min):
     return trace, N
 
 
-def test_greedy_trace_matches_reference():
+def test_greedy_trace_matches_reference(monkeypatch):
     c = [1.0, 0.25, 0.0625]
     V0 = [0.02, 0.005, 0.00125]
     costs = [1.0, 4.0, 16.0]
     samplers = [const_sampler(l, c[l], costs[l]) for l in range(3)]
-    rule = lambda l, N: V0[l] / N**2
-    est, state = mlqmc_run(samplers, 0.1, theta=0.5, M=4, variance_rule=rule)
+    pin_variance(monkeypatch, c, lambda l, N: V0[l] / N**2)
+    est, state = mlqmc_run(samplers, 0.1, theta=0.5, M=4)
     ref_trace, ref_N = _reference_greedy(c, V0, costs, 0.1, 0.5, 2)
     assert state.trace == ref_trace
     assert state.N == ref_N
@@ -325,19 +337,21 @@ def test_greedy_trace_matches_reference():
     )
 
 
-def test_greedy_loose_tolerance_stays_minimal():
-    samplers = [const_sampler(l, 4.0 ** (-l)) for l in range(4)]
-    rule = lambda l, N: 1e-6 / N**2
-    est, state = mlqmc_run(samplers, 50.0, M=4, variance_rule=rule)
+def test_greedy_loose_tolerance_stays_minimal(monkeypatch):
+    c = [4.0 ** (-l) for l in range(4)]
+    samplers = [const_sampler(l, c[l]) for l in range(4)]
+    pin_variance(monkeypatch, c, lambda l, N: 1e-6 / N**2)
+    est, state = mlqmc_run(samplers, 50.0, M=4)
     assert state.N == [1, 1]
     assert est == pytest.approx(1.25, rel=1e-12)
 
 
-def test_greedy_reports_failure_state():
-    samplers = [const_sampler(l, 0.9**l) for l in range(2)]
-    rule = lambda l, N: 1e-8 / N**2
+def test_greedy_reports_failure_state(monkeypatch):
+    c = [0.9**l for l in range(2)]
+    samplers = [const_sampler(l, c[l]) for l in range(2)]
+    pin_variance(monkeypatch, c, lambda l, N: 1e-8 / N**2)
     with pytest.raises(ConvergenceFailure) as exc:
-        mlqmc_run(samplers, 0.01, M=4, variance_rule=rule)
+        mlqmc_run(samplers, 0.01, M=4)
     state = exc.value.state
     assert state is not None
     assert not state.converged
@@ -346,10 +360,11 @@ def test_greedy_reports_failure_state():
 
 def test_greedy_reports_the_sample_cap(monkeypatch):
     monkeypatch.setattr(mlqmc, "MAX_QMC_DOUBLINGS", 3)
-    samplers = [const_sampler(l, 4.0 ** (-l)) for l in range(3)]
-    rule = lambda l, N: 1.0 / N  # over the 5e-3 budget up to the cap
+    c = [4.0 ** (-l) for l in range(3)]
+    samplers = [const_sampler(l, c[l]) for l in range(3)]
+    pin_variance(monkeypatch, c, lambda l, N: 1.0 / N)  # over the 5e-3 budget up to the cap
     with pytest.raises(ConvergenceFailure, match="variance budget not met at N = 8") as exc:
-        mlqmc_run(samplers, 0.1, M=4, variance_rule=rule)
+        mlqmc_run(samplers, 0.1, M=4)
     state = exc.value.state
     assert not state.converged
     assert state.N == [8] and state.V == [1.0 / 8]

@@ -105,12 +105,20 @@ def test_sampler_matches_per_sample_diffusion_path(dim):
 
 
 def test_sampler_output_does_not_depend_on_batch_split():
-    for dim, pars in ((1, PARAMS_1D), (2, PARAMS_2D)):
-        ctxs = build_level_contexts(dim, [2, 3], [1, 1], pars)
-        for s in make_level_samplers(ctxs, seed=2):
-            whole = s.batch(range(1), 0, 10)
-            split = np.hstack([s.batch(range(1), 0, 3), s.batch(range(1), 3, 10)])
-            np.testing.assert_array_equal(split, whole)
+    # the last hierarchy's position 1 solves on G band widths 31 and 15, and
+    # a 40-sample call there spans two 24-sample chunks
+    cases = ((1, PARAMS_1D, [2, 3]), (2, PARAMS_2D, [2, 3]), (2, PARAMS_2D, [4, 5]))
+    for dim, pars, levels in cases:
+        ctxs = build_level_contexts(dim, levels, [3, 3], pars)
+        for use_qmc in (True, False):
+            for s in make_level_samplers(ctxs, seed=2, use_qmc=use_qmc):
+                whole = s.batch(range(1), 0, 40)
+                split = [s.batch(range(1), a, b) for a, b in ((0, 7), (7, 19), (19, 40))]
+                np.testing.assert_array_equal(np.hstack(split), whole)
+                singles = [s.batch(range(1), n, n + 1) for n in range(40)]
+                np.testing.assert_array_equal(np.hstack(singles), whole)
+    assert [space.diffusion._band.w for space in ctxs[1].spaces] == [31, 15]
+    assert ctxs[1].chunk_size < 40
 
 
 def test_one_diffusion_solver_per_g_mesh_built_at_set_up(monkeypatch):
@@ -270,9 +278,9 @@ def test_draw_inputs_match_per_sample_streams_at_any_chunking(use_qmc, monkeypat
 
 @pytest.mark.parametrize("use_qmc", [True, False])
 def test_replicate_rows_match_single_replicate_batches(use_qmc, monkeypatch):
-    # 1D band solves are bit-identical whatever a chunk holds, so each row
-    # of a stacked call equals its replicate's own call, also when chunks
-    # cross replicate boundaries
+    # band solves are bit-identical whatever a chunk holds, so each row of a
+    # stacked call equals its replicate's own call, also when chunks cross
+    # replicate boundaries
     ctx = build_level_contexts(1, [2, 3], [1, 1], PARAMS_1D)[1]
     s = make_level_samplers([ctx], seed=1, use_qmc=use_qmc)[0]
     M, n0, n1 = 4, 2, 7
